@@ -7,37 +7,21 @@ Exit codes are a stable contract: 0 success, 1 usage or config error,
 from __future__ import annotations
 
 import argparse
-import json
-import os
+import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from . import audit as audit_mod
 from . import experiments, serialize
-from .core import GameConfig, InvalidConfig, as_rational
-from .engine import (
-    AllEliminated,
-    EngineOptions,
-    LengthConvention,
-    NonTerminating,
-    ThresholdRule,
-    Winner,
-    play,
-)
-from .prefs import Seed, UniformRandom, generate, read_profile_file
-
-SEED_ENV_VAR = "VOTEGAME_SEED"
+from .core import InvalidConfig
+from .engine import AllEliminated, NonTerminating, StageLimitExceeded, Winner, play
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATIONS = 2
 EXIT_NON_TERMINATING = 3
-
-
-class ConfigFileError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,165 +32,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def default_seed(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigFileError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return 0
-
-
 def _resolve_config_path(arg: str) -> Path:
     if arg.startswith("bundled:"):
         name = arg[len("bundled:"):]
         ref = resources.files("votegame").joinpath("data", f"{name}.json")
         if not ref.is_file():
-            raise ConfigFileError(f"no bundled config named {name!r}")
+            raise InvalidConfig(f"no bundled config named {name!r}")
         return Path(str(ref))
     return Path(arg)
-
-
-def _require_keys(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigFileError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-
-
-def _parse_engine_options(doc: Mapping[str, Any]) -> EngineOptions:
-    _require_keys(
-        doc, {"threshold_rule", "length_convention", "max_stages"}, "engine"
-    )
-    max_stages = doc.get("max_stages")
-    if max_stages is not None and (not isinstance(max_stages, int) or max_stages < 1):
-        raise ConfigFileError("engine.max_stages: must be a positive integer")
-    try:
-        return EngineOptions(
-            threshold_rule=ThresholdRule(doc.get("threshold_rule", "updating")),
-            length_convention=LengthConvention(
-                doc.get("length_convention", "rounds_played")
-            ),
-            max_stages=max_stages,
-        )
-    except ValueError as exc:
-        raise ConfigFileError(f"engine: {exc}") from exc
-
-
-def load_run_config(
-    path: Path, seed_override: Optional[int] = None
-) -> tuple[GameConfig, EngineOptions, dict[int, str], Optional[str]]:
-    """Parse a run config file into (config, options, id->label, trace_out)."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigFileError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigFileError(f"config file is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigFileError("config file must hold a JSON object")
-    _require_keys(
-        doc,
-        {"alternatives", "weights", "preferences", "thresholds", "engine", "trace_out"},
-        "config",
-    )
-
-    alt_labels = doc.get("alternatives")
-    if (
-        not isinstance(alt_labels, list)
-        or not alt_labels
-        or not all(isinstance(x, str) for x in alt_labels)
-    ):
-        raise ConfigFileError("alternatives: must be a nonempty list of labels")
-    if len(set(alt_labels)) != len(alt_labels):
-        raise ConfigFileError("alternatives: labels must be unique")
-    label_to_id = {label: i + 1 for i, label in enumerate(alt_labels)}
-    id_to_label = {i + 1: label for i, label in enumerate(alt_labels)}
-    m = len(alt_labels)
-
-    prefs_doc = doc.get("preferences")
-    if isinstance(prefs_doc, list):
-        preferences = _label_rankings_to_ids(prefs_doc, label_to_id)
-    elif isinstance(prefs_doc, dict) and set(prefs_doc) == {"file"}:
-        rankings = read_profile_file(prefs_doc["file"])
-        preferences = _label_rankings_to_ids(rankings, label_to_id)
-    elif isinstance(prefs_doc, dict) and set(prefs_doc) == {"uniform"}:
-        uni = prefs_doc["uniform"]
-        _require_keys(
-            uni, {"agents", "master_seed", "trial"}, "preferences.uniform"
-        )
-        agents = uni.get("agents")
-        if not isinstance(agents, int) or agents < 1:
-            raise ConfigFileError("preferences.uniform.agents: need a positive integer")
-        master = uni.get("master_seed")
-        if seed_override is not None:
-            master = seed_override
-        if master is None:
-            master = default_seed(None)
-        seed = Seed(master, uni.get("trial", 0))
-        preferences = tuple(
-            p.ranking for p in generate(UniformRandom(agents, m, seed))
-        )
-    else:
-        raise ConfigFileError(
-            "preferences: must be a list of rankings, {'uniform': ...}, or {'file': ...}"
-        )
-    n = len(preferences)
-
-    weights_doc = doc.get("weights", [1] * n)
-    if not isinstance(weights_doc, list) or len(weights_doc) != n:
-        raise ConfigFileError(f"weights: need one weight per agent ({n})")
-
-    thr_doc = doc.get("thresholds")
-    if thr_doc == experiments.THRESHOLD_INIT_RULE:
-        thresholds = {x: as_rational(2 * n) / m for x in range(1, m + 1)}
-    elif isinstance(thr_doc, dict):
-        if set(thr_doc) != set(alt_labels):
-            raise ConfigFileError(
-                "thresholds: keys must be exactly the alternative labels"
-            )
-        thresholds = {label_to_id[lab]: as_rational(v) for lab, v in thr_doc.items()}
-    else:
-        raise ConfigFileError(
-            f"thresholds: must be a label map or the string "
-            f"{experiments.THRESHOLD_INIT_RULE!r}"
-        )
-
-    options = _parse_engine_options(doc.get("engine", {}))
-    trace_out = doc.get("trace_out")
-    if trace_out is not None and not isinstance(trace_out, str):
-        raise ConfigFileError("trace_out: must be a path string")
-
-    try:
-        config = GameConfig(
-            weights=tuple(weights_doc),
-            alternatives=frozenset(range(1, m + 1)),
-            preferences=preferences,
-            initial_thresholds=thresholds,
-        )
-    except InvalidConfig as exc:
-        raise ConfigFileError(str(exc))
-    return config, options, id_to_label, trace_out
-
-
-def _label_rankings_to_ids(rankings, label_to_id) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for i, ranking in enumerate(rankings):
-        if not isinstance(ranking, list):
-            raise ConfigFileError(f"preferences: agent {i + 1} entry is not a list")
-        ids = []
-        for label in ranking:
-            if label not in label_to_id:
-                raise ConfigFileError(
-                    f"preferences: agent {i + 1} ranks unknown alternative {label!r}"
-                )
-            ids.append(label_to_id[label])
-        out.append(tuple(ids))
-    return tuple(out)
 
 
 def _format_votes(record, id_to_label) -> str:
@@ -216,18 +49,18 @@ def _format_votes(record, id_to_label) -> str:
 
 
 def cmd_play(args) -> int:
-    try:
-        path = _resolve_config_path(args.config)
-        config, options, labels, trace_out = load_run_config(path, args.seed)
-    except (ConfigFileError, InvalidConfig) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    path = _resolve_config_path(args.config)
+    config, options, labels, trace_out = serialize.load_run_config(path, args.seed)
     if config.trivial_all_eliminated:
         print(
             "warning: every threshold exceeds the total vote weight; "
             "stage 1 eliminates everything"
         )
-    trace = play(config, options)
+    try:
+        trace = play(config, options)
+    except StageLimitExceeded as exc:  # a user-set engine.max_stages tripped
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for record in trace.stages:
         gone = ", ".join(labels[x] for x in sorted(record.eliminated)) or "none"
         line = f"stage {record.stage}: eliminated {gone}"
@@ -272,15 +105,9 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        spec = experiments.read_sweep_spec(Path(args.spec))
-        if args.seed is not None:
-            spec = experiments.sweep_spec_from_dict(
-                {**experiments.sweep_spec_to_dict(spec), "master_seed": args.seed}
-            )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = serialize.read_sweep_spec(args.spec)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, master_seed=serialize.default_seed(args.seed))
     report = experiments.run_sweep(spec, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -297,13 +124,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, value, low in (
+        ("--trials", args.trials, 1),
+        ("--max-agents", args.max_agents, 1),
+        ("--max-alternatives", args.max_alternatives, 2),
+    ):
+        if value < low:
+            print(f"error: {flag} must be at least {low}", file=sys.stderr)
+            return EXIT_USAGE
     override = audit_mod.off_by_one_elimination if args.inject_off_by_one else None
     report = audit_mod.run_audit(
         trials=args.trials,
-        master_seed=default_seed(args.seed),
+        master_seed=serialize.default_seed(args.seed),
         max_agents=args.max_agents,
         max_alternatives=args.max_alternatives,
         elimination_override=override,
@@ -368,7 +200,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigFileError as exc:
+    except (InvalidConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Mapping, Sequence, Union
+from typing import AbstractSet, Mapping, Union
 
 AgentId = int          # 1-based
 AlternativeId = int    # 1-based, stable across stages
@@ -191,14 +191,6 @@ def eliminate(
     return survivors, frozenset(counts) - survivors
 
 
-def popularities(
-    counts: Mapping[AlternativeId, int],
-    thresholds: Mapping[AlternativeId, Fraction],
-) -> dict[AlternativeId, Fraction]:
-    """Per-alternative popularity: tally minus threshold, exact."""
-    return {x: Fraction(counts[x]) - thresholds[x] for x in counts}
-
-
 def _fsum(values) -> Fraction:
     # exact sum, grouping by denominator so homogeneous maps (the common
     # case: every threshold equal) cost integer additions, not gcds
@@ -267,10 +259,3 @@ def guarantees_elimination(
 def threshold_total(thresholds: Mapping[AlternativeId, Fraction]) -> Fraction:
     """Exact sum of a threshold map's values."""
     return _fsum(thresholds.values())
-
-
-def explicit_preferences(
-    rankings: Sequence[Sequence[AlternativeId]],
-) -> tuple[PreferenceOrder, ...]:
-    """Build validated preference orders from raw ranking sequences."""
-    return tuple(PreferenceOrder(tuple(r)) for r in rankings)

@@ -21,8 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
+from .core import InvalidConfig
 from .engine import (
     EngineOptions,
     LengthConvention,
@@ -68,7 +69,6 @@ class SweepSpec:
     trials: int = 100
     master_seed: int = 0
     length_convention: LengthConvention = LengthConvention.ROUNDS_PLAYED
-    threshold_init: str = THRESHOLD_INIT_RULE
 
     def __post_init__(self):
         object.__setattr__(
@@ -76,18 +76,13 @@ class SweepSpec:
         )
         object.__setattr__(self, "agent_counts", tuple(self.agent_counts))
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise InvalidConfig("trials must be at least 1")
         if not self.alternative_counts or not self.agent_counts:
-            raise ValueError("both grid axes must be nonempty")
+            raise InvalidConfig("both grid axes must be nonempty")
         if any(m < 2 for m in self.alternative_counts):
-            raise ValueError("alternative counts must be at least 2")
+            raise InvalidConfig("alternative counts must be at least 2")
         if any(n < 1 for n in self.agent_counts):
-            raise ValueError("agent counts must be at least 1")
-        if self.threshold_init != THRESHOLD_INIT_RULE:
-            raise ValueError(
-                f"unsupported threshold_init {self.threshold_init!r}; "
-                f"only {THRESHOLD_INIT_RULE!r} is available"
-            )
+            raise InvalidConfig("agent counts must be at least 1")
 
     def cells(self) -> list[tuple[int, int]]:
         return [
@@ -106,7 +101,6 @@ class CellResult:
     all_eliminated_count: int
     rounds_total: int     # rounds played, summed over decided trials
     rounds_sq_total: int  # sum of squared rounds, for standard errors
-    non_terminating_count: int = 0
 
     @property
     def decided(self) -> int:
@@ -144,7 +138,6 @@ class ExperimentReport:
     master_seed: int
     trials: int
     length_convention: LengthConvention
-    threshold_init: str
     engine_version: str
     cells: dict[tuple[int, int], CellResult] = field(default_factory=dict)
 
@@ -222,7 +215,8 @@ def run_cells(
     work = [(m, n, trials, master_seed) for m, n in cell_list]
     results: dict[tuple[int, int], CellResult] = {}
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool forks all its workers up front, so never more than cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             for key, res in pool.map(_cell_worker, work):
                 results[key] = res
     else:
@@ -233,7 +227,6 @@ def run_cells(
         master_seed=master_seed,
         trials=trials,
         length_convention=length_convention,
-        threshold_init=THRESHOLD_INIT_RULE,
         engine_version=__version__,
         cells=results,
     )
@@ -462,52 +455,7 @@ def calibrate_convention(
 
 
 # ---------------------------------------------------------------------------
-# File formats
-
-
-def sweep_spec_to_dict(spec: SweepSpec) -> dict[str, Any]:
-    return {
-        "alternative_counts": list(spec.alternative_counts),
-        "agent_counts": list(spec.agent_counts),
-        "trials": spec.trials,
-        "master_seed": spec.master_seed,
-        "length_convention": spec.length_convention.value,
-        "threshold_init": spec.threshold_init,
-    }
-
-
-def sweep_spec_from_dict(doc: Mapping[str, Any]) -> SweepSpec:
-    known = {
-        "alternative_counts",
-        "agent_counts",
-        "trials",
-        "master_seed",
-        "length_convention",
-        "threshold_init",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown sweep spec fields: {sorted(unknown)}")
-    defaults = SweepSpec()
-    return SweepSpec(
-        alternative_counts=tuple(
-            doc.get("alternative_counts", defaults.alternative_counts)
-        ),
-        agent_counts=tuple(doc.get("agent_counts", defaults.agent_counts)),
-        trials=doc.get("trials", defaults.trials),
-        master_seed=doc.get("master_seed", defaults.master_seed),
-        length_convention=LengthConvention(
-            doc.get("length_convention", defaults.length_convention.value)
-        ),
-        threshold_init=doc.get("threshold_init", defaults.threshold_init),
-    )
-
-
-def read_sweep_spec(path: str | Path) -> SweepSpec:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("sweep spec file must hold a JSON object")
-    return sweep_spec_from_dict(doc)
+# Report files
 
 
 def grid_csv(report: ExperimentReport) -> str:
@@ -543,13 +491,12 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
             "std_error": res.std_error(),
             "winner_rate": float(res.winner_rate),
             "all_eliminated_rate": float(res.all_eliminated_rate),
-            "non_terminating": res.non_terminating_count,
         }
     return {
         "master_seed": report.master_seed,
         "trials": report.trials,
         "length_convention": report.length_convention.value,
-        "threshold_init": report.threshold_init,
+        "threshold_init": THRESHOLD_INIT_RULE,
         "engine_version": report.engine_version,
         "cells": cells,
     }

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 from .core import InvalidConfig, PreferenceOrder
-from .rng import IncrementalRanking, Xoshiro256StarStar, mix64
+from .rng import IncrementalRanking, Xoshiro256StarStar, mix64, shuffled
 
 _PREF_STREAM_TAG = 0x70726566  # domain separation from other streams
 
@@ -48,35 +47,6 @@ class UniformRandom:
             raise ValueError("need at least one alternative")
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """A fixed profile; every order must rank the same alternative set."""
-
-    orders: tuple[PreferenceOrder, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "orders",
-            tuple(
-                p if isinstance(p, PreferenceOrder) else PreferenceOrder(tuple(p))
-                for p in self.orders
-            ),
-        )
-        if not self.orders:
-            raise InvalidConfig("explicit profile has no agents")
-        universe = set(self.orders[0].ranking)
-        for i, p in enumerate(self.orders):
-            if set(p.ranking) != universe:
-                raise InvalidConfig(
-                    f"explicit profile: agent {i + 1}'s ranking is not a "
-                    f"permutation of the shared alternative set"
-                )
-
-
-ProfileSpec = Union[UniformRandom, Explicit]
-
-
 def agent_stream(seed: Seed, agent: int) -> Xoshiro256StarStar:
     """The pinned random stream owned by one agent in one trial."""
     return Xoshiro256StarStar(
@@ -87,7 +57,7 @@ def agent_stream(seed: Seed, agent: int) -> Xoshiro256StarStar:
 def incremental_rankings(n: int, m: int, seed: Seed) -> list[IncrementalRanking]:
     """Per-agent lazily revealed uniform rankings of alternatives 1..m.
 
-    Materializing these gives exactly ``generate(UniformRandom(n, m, seed))``;
+    Revealed in full, these give exactly ``generate(UniformRandom(n, m, seed))``;
     the lazy form lets the engine pay only for the prefix each agent actually
     consults, which matters when alternatives vastly outnumber agents.
     """
@@ -97,22 +67,23 @@ def incremental_rankings(n: int, m: int, seed: Seed) -> list[IncrementalRanking]
     ]
 
 
-def generate(spec: ProfileSpec) -> list[PreferenceOrder]:
-    """Produce one preference order per agent from a profile spec."""
-    if isinstance(spec, Explicit):
-        return list(spec.orders)
-    if isinstance(spec, UniformRandom):
-        return [
-            PreferenceOrder(r.materialize())
-            for r in incremental_rankings(spec.agents, spec.alternatives, spec.seed)
-        ]
-    raise TypeError(f"not a profile spec: {spec!r}")
+def generate(spec: UniformRandom) -> list[PreferenceOrder]:
+    """Produce one preference order per agent, each an eager shuffle of its
+    own stream."""
+    alternatives = range(1, spec.alternatives + 1)
+    return [
+        PreferenceOrder(shuffled(alternatives, agent_stream(spec.seed, agent)))
+        for agent in range(1, spec.agents + 1)
+    ]
 
 
 def read_profile_file(path: str | Path) -> list[list[str]]:
     """Load an explicit profile: a JSON list of per-agent label rankings."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise InvalidConfig(f"profile file is not valid JSON: {exc}") from exc
     if not isinstance(doc, list) or not doc:
         raise InvalidConfig("profile file must be a nonempty JSON list of rankings")
     out: list[list[str]] = []

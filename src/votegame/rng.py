@@ -100,8 +100,8 @@ class IncrementalRanking:
     settles positions only on demand, over a sparse view of the array (only
     displaced entries are stored), so a caller that consults a short prefix
     pays O(prefix) time and space no matter how large the permutation is.
-    ``materialize`` completes the walk; a materialized ranking is
-    bit-identical to an eager shuffle from the same stream.
+    Whatever is consulted agrees position for position with ``shuffled``
+    over the same stream; callers that need the whole ranking use that.
     """
 
     __slots__ = ("_size", "_rng", "_slots", "_final")
@@ -136,19 +136,6 @@ class IncrementalRanking:
                 return value
             i += 1
         raise ValueError("no member of the live set appears in the ranking")
-
-    def materialize(self) -> tuple[int, ...]:
-        size = self._size
-        slots = self._slots
-        get = slots.get
-        below = self._rng.below
-        for i in range(self._final, size - 1):
-            j = i + below(size - i)
-            vi = get(i, i + 1)
-            slots[i] = get(j, j + 1)
-            slots[j] = vi
-        self._final = size
-        return tuple(get(i, i + 1) for i in range(size))
 
 
 def shuffled(items: Iterable[int], rng: Xoshiro256StarStar) -> tuple[int, ...]:

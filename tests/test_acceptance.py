@@ -13,7 +13,7 @@ import pytest
 from test_oracle import compare_exhaustively
 
 from votegame.audit import run_audit
-from votegame.cli import main as cli_main
+from votegame.cli import _resolve_config_path, main as cli_main
 from votegame.engine import LengthConvention, NonTerminating, play
 from votegame.experiments import (
     DEFAULT_AGENT_GRID,
@@ -22,7 +22,7 @@ from votegame.experiments import (
     run_cells,
     trend_check,
 )
-from votegame.cli import load_run_config, _resolve_config_path
+from votegame.serialize import load_run_config
 
 MASTER_SEED = 20260811
 SWEEP_TRIALS = 1000

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from votegame.cli import main
 from votegame.engine import NonTerminating
@@ -181,8 +182,11 @@ def test_audit_detects_injected_mutant(capsys):
 
 
 def test_audit_zero_trials_is_usage_error(capsys):
-    code = main(["audit", "--trials", "0"])
-    assert code == 1
+    bad_flags = (["--trials", "0"], ["--max-agents", "0"], ["--max-alternatives", "1"])
+    for flags in bad_flags:
+        code = main(["audit", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be")
 
 
 def test_usage_errors_exit_one():
@@ -192,3 +196,200 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 1
+
+
+def uniform_config_doc(**overrides):
+    doc = {
+        "alternatives": ["a", "b", "c", "d"],
+        "preferences": {"uniform": {"agents": 3}},
+        "thresholds": "2n/m",
+    }
+    doc.update(overrides)
+    return doc
+
+
+def assert_clean_rejection(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_sweep_honors_seed_env_var(tmp_path, capsys, monkeypatch):
+    doc = sweep_spec_doc()
+    del doc["master_seed"]
+    spec = write_json(tmp_path / "spec.json", doc)
+    monkeypatch.setenv("VOTEGAME_SEED", "5")
+    assert main(["sweep", spec, "--out-dir", str(tmp_path / "env")]) == 0
+    report = json.loads((tmp_path / "env" / "report.json").read_text())
+    assert report["master_seed"] == 5
+    # the flag still wins over the environment
+    assert main(["sweep", spec, "--out-dir", str(tmp_path / "f"), "--seed", "6"]) == 0
+    assert json.loads((tmp_path / "f" / "report.json").read_text())["master_seed"] == 6
+
+
+def test_play_reports_a_tripped_stage_cap(tmp_path, capsys):
+    # two stages: a and b survive stage 1 on exactly 2 votes each, then both
+    # fall short of the absorbed thresholds
+    doc = {
+        "alternatives": ["a", "b", "c", "d"],
+        "preferences": [["a", "b", "c", "d"]] * 2 + [["b", "a", "c", "d"]] * 2,
+        "thresholds": "2n/m",
+        "engine": {"max_stages": 1},
+    }
+    config = write_json(tmp_path / "capped.json", doc)
+    assert_clean_rejection(["play", config], capsys)
+    doc["engine"] = {}
+    config = write_json(tmp_path / "uncapped.json", doc)
+    assert main(["play", config]) == 0
+    assert "all eliminated (rounds played: 2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("sweep", {**sweep_spec_doc(), "trials": "5"}),
+        ("sweep", {**sweep_spec_doc(), "alternative_counts": [10.5]}),
+        ("sweep", {**sweep_spec_doc(), "master_seed": -1}),
+        ("play", uniform_config_doc(
+            preferences={"uniform": {"agents": 3, "master_seed": -3}}
+        )),
+        ("play", uniform_config_doc(
+            preferences={"uniform": {"agents": 3, "trial": -1}}
+        )),
+        ("play", cycle_config_doc(engine=5)),
+        ("play", cycle_config_doc(preferences={"file": "missing.json"})),
+    ],
+    ids=[
+        "trials-string",
+        "fractional-count",
+        "negative-seed",
+        "negative-uniform-seed",
+        "negative-trial",
+        "engine-not-object",
+        "missing-profile-file",
+    ],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, doc):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, write_json(tmp_path / "doc.json", doc)]
+    if command == "sweep":
+        argv += ["--out-dir", "out"]
+    assert_clean_rejection(argv, capsys)
+
+
+# Every value below is malformed where it is put, so every generated
+# document must be rejected.
+NOT_INT = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=3), st.lists(st.integers(), max_size=2)
+)
+NOT_LIST = st.one_of(st.integers(), st.text(max_size=3), st.booleans(), st.none())
+NOT_OBJECT = st.one_of(
+    st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)
+)
+BAD_SEED = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=1 << 64), NOT_INT
+)
+
+
+def below(low):
+    return st.one_of(st.integers(max_value=low - 1), NOT_INT)
+
+
+def counts_below(low):
+    return st.one_of(
+        NOT_LIST, st.just([]), st.lists(below(low), min_size=1, max_size=3)
+    )
+
+
+def uniform(**fields):
+    return st.fixed_dictionaries({"uniform": st.fixed_dictionaries(fields)})
+
+
+BAD_PLAY_FIELDS = {
+    "alternatives": st.one_of(
+        NOT_LIST, st.just([]), st.just(["a", "a"]), st.lists(st.integers(), min_size=1)
+    ),
+    "weights": st.one_of(
+        NOT_LIST,
+        st.lists(st.integers(1, 3), max_size=2),
+        st.lists(below(1), min_size=3, max_size=3),
+    ),
+    "preferences": st.one_of(
+        st.integers(),
+        st.just([]),
+        st.lists(
+            st.lists(st.sampled_from(["e", 1, None, []]), min_size=1),
+            min_size=1,
+            max_size=3,
+        ),
+        st.fixed_dictionaries({"file": NOT_INT}),
+        st.fixed_dictionaries({"uniform": NOT_OBJECT}),
+        uniform(agents=below(1)),
+        uniform(agents=st.just(3), trial=below(0)),
+        uniform(agents=st.just(3), master_seed=BAD_SEED),
+    ),
+    "thresholds": st.one_of(
+        st.integers(),
+        st.text(max_size=3),
+        st.dictionaries(st.sampled_from("abcd"), st.integers(0, 3), max_size=3),
+        st.fixed_dictionaries(
+            dict.fromkeys(
+                "abcd", st.one_of(st.integers(max_value=-1), st.booleans(), st.floats())
+            )
+        ),
+    ),
+    "engine": st.one_of(
+        NOT_OBJECT,
+        st.fixed_dictionaries({"max_stages": below(1)}),
+        st.fixed_dictionaries(
+            {"threshold_rule": st.one_of(st.text(max_size=3), st.integers())}
+        ),
+        st.dictionaries(st.text(min_size=1, max_size=3), st.integers(), min_size=1),
+    ),
+    "trace_out": st.one_of(
+        st.integers(), st.booleans(), st.lists(st.integers(), max_size=2)
+    ),
+    "color": st.integers(),
+}
+BAD_SWEEP_FIELDS = {
+    "alternative_counts": counts_below(2),
+    "agent_counts": counts_below(1),
+    "trials": below(1),
+    "master_seed": BAD_SEED,
+    "length_convention": st.one_of(st.text(max_size=3), st.integers(), st.none()),
+    "color": st.integers(),
+}
+
+
+def malformed(base, bad_fields):
+    one_bad_field = st.sampled_from(sorted(bad_fields)).flatmap(
+        lambda key: bad_fields[key].map(lambda value: {**base, key: value})
+    )
+    return st.one_of(one_bad_field, NOT_OBJECT)
+
+
+FUZZ = settings(
+    max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ
+@given(doc=malformed(uniform_config_doc(), BAD_PLAY_FIELDS))
+def test_fuzz_malformed_play_config(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.delenv("VOTEGAME_SEED", raising=False)
+    assert_clean_rejection(["play", write_json(tmp_path / "game.json", doc)], capsys)
+
+
+@FUZZ
+@given(
+    doc=malformed(
+        {"alternative_counts": [10], "agent_counts": [2], "trials": 1},
+        BAD_SWEEP_FIELDS,
+    )
+)
+def test_fuzz_malformed_sweep_spec(tmp_path, capsys, doc):
+    spec = write_json(tmp_path / "spec.json", doc)
+    assert_clean_rejection(["sweep", spec, "--out-dir", str(tmp_path / "out")], capsys)

@@ -10,7 +10,6 @@ from votegame.core import (
     as_rational,
     eliminate,
     guarantees_elimination,
-    popularities,
     sincere_choice,
     tally,
     threshold_total,
@@ -208,12 +207,7 @@ def test_guarantee_holds_for_doubled_vote_mass(n, m):
     assert guarantees_elimination(thresholds, weights)
 
 
-# --- popularities and config validation ------------------------------------
-
-
-def test_popularities_exact():
-    pops = popularities({1: 3, 2: 0}, {1: F(1, 2), 2: F(2)})
-    assert pops == {1: F(5, 2), 2: F(-2)}
+# --- config validation ----------------------------------------------------
 
 
 def test_as_rational_forms():

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from votegame import experiments
 from votegame.core import GameConfig
 from votegame.engine import LengthConvention, NonTerminating, Winner, play
 from votegame.experiments import (
@@ -13,16 +15,14 @@ from votegame.experiments import (
     _run_cell,
     calibrate_convention,
     grid_csv,
-    read_sweep_spec,
     report_to_dict,
     run_cells,
     run_sweep,
-    sweep_spec_from_dict,
-    sweep_spec_to_dict,
     trend_check,
 )
 from votegame.prefs import Seed, UniformRandom, generate
 from votegame.rng import mix64
+from votegame.serialize import read_sweep_spec, sweep_spec_from_dict
 
 
 def test_default_grids_match_reference_table_shape():
@@ -41,8 +41,6 @@ def test_sweep_spec_validation():
         SweepSpec(alternative_counts=(1, 10))
     with pytest.raises(ValueError):
         SweepSpec(agent_counts=())
-    with pytest.raises(ValueError):
-        SweepSpec(threshold_init="n/m")
 
 
 def test_sweep_spec_file_round_trip(tmp_path):
@@ -54,9 +52,17 @@ def test_sweep_spec_file_round_trip(tmp_path):
         length_convention=LengthConvention.ROUNDS_PLUS_FINAL,
     )
     path = tmp_path / "spec.json"
-    import json
-
-    path.write_text(json.dumps(sweep_spec_to_dict(spec)))
+    path.write_text(
+        json.dumps(
+            {
+                "alternative_counts": [10, 20],
+                "agent_counts": [2, 4],
+                "trials": 7,
+                "master_seed": 123,
+                "length_convention": "rounds_plus_final",
+            }
+        )
+    )
     assert read_sweep_spec(path) == spec
 
 
@@ -106,6 +112,28 @@ def test_run_cells_parallel_equals_serial():
     parallel = run_cells(cells, trials=40, master_seed=3, jobs=2)
     assert serial.cells == parallel.cells
     assert report_to_dict(serial) == report_to_dict(parallel)
+
+
+def test_pool_never_has_more_workers_than_cells(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    run_cells([(10, 2), (10, 4), (20, 2)], trials=2, master_seed=1, jobs=64)
+    run_cells([(10, 2), (10, 4), (20, 2)], trials=2, master_seed=1, jobs=2)
+    assert sizes == [3, 2]
 
 
 def test_report_rates_and_exact_means():

@@ -81,6 +81,14 @@ def test_trace_round_trip_bit_exact():
     assert trace_to_dict(restored, labels=trace_labels(doc)) == doc
 
 
+@pytest.mark.parametrize("max_stages", ["lots", True, 0])
+def test_trace_rejects_bad_max_stages(max_stages):
+    doc = trace_to_dict(play(sample_config()))
+    doc["options"]["max_stages"] = max_stages
+    with pytest.raises(InvalidConfig, match="max_stages"):
+        trace_from_dict(doc)
+
+
 def test_trace_rejects_foreign_document():
     with pytest.raises(InvalidConfig, match="votegame-trace"):
         trace_from_dict({"format": "something-else"})
