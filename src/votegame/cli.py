@@ -16,7 +16,7 @@ from typing import Optional
 from . import audit as audit_mod
 from . import experiments, serialize
 from .core import InvalidConfig
-from .engine import AllEliminated, NonTerminating, StageLimitExceeded, Winner, play
+from .engine import AllEliminated, NonTerminating, Winner, play
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,11 +56,7 @@ def cmd_play(args) -> int:
             "warning: every threshold exceeds the total vote weight; "
             "stage 1 eliminates everything"
         )
-    try:
-        trace = play(config, options)
-    except StageLimitExceeded as exc:  # a user-set engine.max_stages tripped
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    trace = play(config, options)
     for record in trace.stages:
         gone = ", ".join(labels[x] for x in sorted(record.eliminated)) or "none"
         line = f"stage {record.stage}: eliminated {gone}"

@@ -38,6 +38,8 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():  # Fraction would spend seconds on "1e3000000"
+            raise InvalidConfig(f"not a rational number: {value!r} (no exponents)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -47,11 +47,10 @@ class LengthConvention(enum.Enum):
 
 @dataclass(frozen=True)
 class EngineOptions:
+    """A game's one rule: static or updating thresholds.  How its length is
+    counted belongs to the sweep's report (``SweepSpec.length_convention``)."""
+
     threshold_rule: ThresholdRule = ThresholdRule.UPDATING
-    length_convention: LengthConvention = LengthConvention.ROUNDS_PLAYED
-    # None means (initial alternatives + 8): unreachable if the engine is
-    # correct, present purely to turn bugs into loud failures.
-    max_stages: Optional[int] = None
     # Test seam for audit negative controls; never serialized.
     elimination_override: Optional[EliminationRule] = field(
         default=None, compare=False, repr=False
@@ -104,21 +103,6 @@ class GameTrace:
     def rounds_played(self) -> int:
         return len(self.stages)
 
-    def length(self, convention: Optional[LengthConvention] = None) -> int:
-        """Game length under the given (or the trace's own) convention.
-
-        A non-terminating game has no terminal confirmation round, so both
-        conventions report the rounds actually played.
-        """
-        if convention is None:
-            convention = self.options.length_convention
-        k = len(self.stages)
-        if convention is LengthConvention.ROUNDS_PLUS_FINAL and not isinstance(
-            self.outcome, NonTerminating
-        ):
-            return k + 1
-        return k
-
 
 class StageLimitExceeded(RuntimeError):
     """The safety cap tripped; this indicates an engine bug, not a game state."""
@@ -139,10 +123,13 @@ def run_stages(
 
     This is the single game loop behind both ``play`` (materialized
     preference orders) and the sweep harness (lazily revealed orders).
+    ``StageLimitExceeded`` past the fixed safety cap means an engine bug.
     """
     live = frozenset(alternatives)
     thresholds = dict(initial_thresholds)
-    cap = options.max_stages if options.max_stages is not None else len(live) + 8
+    # unreachable if the engine is correct (a game lasts at most m - 1
+    # stages); present purely to turn bugs into loud failures
+    cap = len(live) + 8
     eliminate = options.elimination_override or core.eliminate
     updating = options.threshold_rule is ThresholdRule.UPDATING
     stages: list[StageRecord] = []

@@ -141,11 +141,6 @@ class ExperimentReport:
     engine_version: str
     cells: dict[tuple[int, int], CellResult] = field(default_factory=dict)
 
-    def mean_length(
-        self, m: int, n: int, convention: Optional[LengthConvention] = None
-    ) -> Fraction:
-        return self.cells[(m, n)].mean_length(convention or self.length_convention)
-
     def alternative_counts(self) -> list[int]:
         return sorted({m for m, _ in self.cells})
 
@@ -312,10 +307,6 @@ class TrendResult:
 class TrendReport:
     rows: tuple[TrendResult, ...]
     columns: tuple[TrendResult, ...]
-
-    @property
-    def all_rise_then_fall(self) -> bool:
-        return all(r.rise_then_fall for r in self.rows + self.columns)
 
 
 def _trend_for(

@@ -1,4 +1,4 @@
-"""Every file format of the package: game configs, sweep specs and traces.
+"""Every file format: game configs, profile files, sweep specs and traces.
 
 Each reader validates its document completely and raises ``InvalidConfig``
 with a one-line message for anything malformed, so a bad file never reaches
@@ -32,9 +32,9 @@ from .engine import (
     Winner,
 )
 from .experiments import THRESHOLD_INIT_RULE, SweepSpec
-from .prefs import Seed, UniformRandom, generate, read_profile_file
+from .prefs import Seed, generate
 
-TRACE_FORMAT = "votegame-trace-v1"
+TRACE_FORMAT = "votegame-trace-v2"
 SEED_ENV_VAR = "VOTEGAME_SEED"
 _SEED_LIMIT = 1 << 64
 
@@ -116,29 +116,14 @@ def config_from_dict(doc: Mapping[str, Any]) -> GameConfig:
 
 
 def options_to_dict(options: EngineOptions) -> dict[str, Any]:
-    return {
-        "threshold_rule": options.threshold_rule.value,
-        "length_convention": options.length_convention.value,
-        "max_stages": options.max_stages,
-    }
+    return {"threshold_rule": options.threshold_rule.value}
 
 
 def options_from_dict(doc: Any) -> EngineOptions:
     """The one engine-option parser, for game configs and traces alike."""
-    _require_keys(
-        doc, {"threshold_rule", "length_convention", "max_stages"}, "engine"
-    )
-    max_stages = doc.get("max_stages")
-    if max_stages is not None:
-        _integer(max_stages, "engine.max_stages", 1)
+    _require_keys(doc, {"threshold_rule"}, "engine")
     try:
-        return EngineOptions(
-            threshold_rule=ThresholdRule(doc.get("threshold_rule", "updating")),
-            length_convention=LengthConvention(
-                doc.get("length_convention", "rounds_played")
-            ),
-            max_stages=max_stages,
-        )
+        return EngineOptions(ThresholdRule(doc.get("threshold_rule", "updating")))
     except ValueError as exc:
         raise InvalidConfig(f"engine: {exc}") from exc
 
@@ -203,15 +188,20 @@ def trace_to_dict(
     return doc
 
 
-def trace_from_dict(doc: Mapping[str, Any]) -> GameTrace:
-    if doc.get("format") != TRACE_FORMAT:
+def trace_from_dict(doc: Any) -> GameTrace:
+    if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
         raise InvalidConfig(f"not a {TRACE_FORMAT} document")
-    return GameTrace(
-        config=config_from_dict(doc["config"]),
-        options=options_from_dict(doc["options"]),
-        stages=tuple(stage_from_dict(s) for s in doc["stages"]),
-        outcome=outcome_from_dict(doc["outcome"]),
-    )
+    try:
+        return GameTrace(
+            config=config_from_dict(doc["config"]),
+            options=options_from_dict(doc["options"]),
+            stages=tuple(stage_from_dict(s) for s in doc["stages"]),
+            outcome=outcome_from_dict(doc["outcome"]),
+        )
+    except InvalidConfig:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InvalidConfig(f"malformed trace document: {exc!r}") from exc
 
 
 def trace_labels(doc: Mapping[str, Any]) -> Optional[dict[int, str]]:
@@ -265,7 +255,9 @@ def load_run_config(
     elif isinstance(prefs_doc, dict) and set(prefs_doc) == {"file"}:
         if not isinstance(prefs_doc["file"], str):
             raise InvalidConfig("preferences.file: must be a path string")
-        rankings = read_profile_file(prefs_doc["file"])
+        rankings = _read_json(prefs_doc["file"], "profile file")
+        if not isinstance(rankings, list):
+            raise InvalidConfig("profile file: must be a JSON list of rankings")
         preferences = _label_rankings_to_ids(rankings, label_to_id)
     elif isinstance(prefs_doc, dict) and set(prefs_doc) == {"uniform"}:
         uni = prefs_doc["uniform"]
@@ -277,9 +269,7 @@ def load_run_config(
             default_seed(seed_override, uni.get("master_seed")),
             _integer(uni.get("trial", 0), "preferences.uniform.trial", 0),
         )
-        preferences = tuple(
-            p.ranking for p in generate(UniformRandom(agents, m, seed))
-        )
+        preferences = tuple(p.ranking for p in generate(agents, m, seed))
     else:
         raise InvalidConfig(
             "preferences: must be a list of rankings, {'uniform': ...}, or {'file': ...}"

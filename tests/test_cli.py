@@ -70,11 +70,14 @@ def test_play_rejects_unknown_field(tmp_path, capsys):
 
 
 def test_play_rejects_bad_max_stages(tmp_path, capsys):
-    doc = cycle_config_doc(engine={"threshold_rule": "static", "max_stages": "lots"})
-    config = write_json(tmp_path / "bad.json", doc)
-    code = main(["play", config])
-    assert code == 1
-    assert "max_stages" in capsys.readouterr().err
+    # the engine object holds only threshold_rule: the removed max_stages and
+    # length_convention fields are unknown fields
+    for field, value in [("max_stages", 1), ("length_convention", "rounds_played")]:
+        doc = cycle_config_doc(engine={"threshold_rule": "static", field: value})
+        config = write_json(tmp_path / "bad.json", doc)
+        code = main(["play", config])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: engine: unknown field {field!r}\n"
 
 
 def test_play_rejects_bad_threshold_keys(tmp_path, capsys):
@@ -208,13 +211,14 @@ def uniform_config_doc(**overrides):
     return doc
 
 
-def assert_clean_rejection(argv, capsys):
+def assert_clean_rejection(argv, capsys, message=""):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1, err
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert message in err
 
 
 def test_sweep_honors_seed_env_var(tmp_path, capsys, monkeypatch):
@@ -230,21 +234,55 @@ def test_sweep_honors_seed_env_var(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "f" / "report.json").read_text())["master_seed"] == 6
 
 
-def test_play_reports_a_tripped_stage_cap(tmp_path, capsys):
+TWO_STAGE_RANKINGS = [["a", "b", "c", "d"]] * 2 + [["b", "a", "c", "d"]] * 2
+
+
+def two_stage_config_doc(preferences=TWO_STAGE_RANKINGS):
     # two stages: a and b survive stage 1 on exactly 2 votes each, then both
     # fall short of the absorbed thresholds
-    doc = {
+    return {
         "alternatives": ["a", "b", "c", "d"],
-        "preferences": [["a", "b", "c", "d"]] * 2 + [["b", "a", "c", "d"]] * 2,
+        "preferences": preferences,
         "thresholds": "2n/m",
-        "engine": {"max_stages": 1},
     }
-    config = write_json(tmp_path / "capped.json", doc)
-    assert_clean_rejection(["play", config], capsys)
-    doc["engine"] = {}
-    config = write_json(tmp_path / "uncapped.json", doc)
+
+
+def test_play_reports_a_tripped_stage_cap(tmp_path, capsys):
+    # the stage cap is no longer settable (engine.max_stages is an unknown
+    # field, see test_play_rejects_bad_max_stages); the game that a cap of 1
+    # used to trip still plays out in two stages
+    config = write_json(tmp_path / "game.json", two_stage_config_doc())
     assert main(["play", config]) == 0
     assert "all eliminated (rounds played: 2)" in capsys.readouterr().out
+
+
+def test_play_profile_file_matches_inline_rankings(tmp_path, capsys):
+    inline = write_json(tmp_path / "inline.json", two_stage_config_doc())
+    assert main(["play", inline]) == 0
+    expected = capsys.readouterr().out
+    profile = write_json(tmp_path / "profile.json", TWO_STAGE_RANKINGS)
+    from_file = write_json(
+        tmp_path / "from_file.json", two_stage_config_doc({"file": profile})
+    )
+    assert main(["play", from_file]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ([], "weights: need at least one agent"),
+        ([["a", "a", "b", "c"]], "duplicates"),
+        ([["a", "b", "c", "d"], "b"], "agent 2 entry is not a list"),
+        ("nope", "profile file: must be a JSON list"),
+        ([[1, 2, 3, 4]], "unknown alternative 1"),
+    ],
+    ids=["empty", "repeated-label", "record-not-list", "not-list", "non-string-labels"],
+)
+def test_play_rejects_malformed_profile_file(tmp_path, capsys, profile, message):
+    path = write_json(tmp_path / "profile.json", profile)
+    config = write_json(tmp_path / "game.json", two_stage_config_doc({"file": path}))
+    assert_clean_rejection(["play", config], capsys, message)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +299,7 @@ def test_play_reports_a_tripped_stage_cap(tmp_path, capsys):
         )),
         ("play", cycle_config_doc(engine=5)),
         ("play", cycle_config_doc(preferences={"file": "missing.json"})),
+        ("play", cycle_config_doc(thresholds={"x1": "1e3000000", "x2": 1, "x3": 1})),
     ],
     ids=[
         "trials-string",
@@ -270,6 +309,7 @@ def test_play_reports_a_tripped_stage_cap(tmp_path, capsys):
         "negative-trial",
         "engine-not-object",
         "missing-profile-file",
+        "exponent-threshold",
     ],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, monkeypatch, command, doc):
@@ -343,7 +383,11 @@ BAD_PLAY_FIELDS = {
     ),
     "engine": st.one_of(
         NOT_OBJECT,
-        st.fixed_dictionaries({"max_stages": below(1)}),
+        st.dictionaries(
+            st.sampled_from(["max_stages", "length_convention"]),
+            st.integers(),
+            min_size=1,
+        ),
         st.fixed_dictionaries(
             {"threshold_rule": st.one_of(st.text(max_size=3), st.integers())}
         ),

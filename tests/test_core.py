@@ -221,6 +221,13 @@ def test_as_rational_forms():
         as_rational(True)
 
 
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1e3000000"])
+def test_as_rational_refuses_exponents(text):
+    # refused before Fraction would expand 10**3000000 exactly (seconds)
+    with pytest.raises(InvalidConfig, match="exponent"):
+        as_rational(text)
+
+
 def valid_config(**overrides):
     fields = dict(
         weights=(1, 1, 1),

@@ -8,7 +8,6 @@ from votegame.engine import (
     AllEliminated,
     EngineOptions,
     GameTrace,
-    LengthConvention,
     NonTerminating,
     ReplayDivergence,
     StageLimitExceeded,
@@ -99,24 +98,22 @@ def test_single_alternative_game_has_zero_rounds():
     assert trace.rounds_played == 0
 
 
-def test_length_conventions():
-    decided = play(cycle_config(threshold=5))
-    assert decided.length(LengthConvention.ROUNDS_PLAYED) == 1
-    assert decided.length(LengthConvention.ROUNDS_PLUS_FINAL) == 2
-    looping = play(cycle_config(), STATIC)
-    assert looping.length(LengthConvention.ROUNDS_PLAYED) == 1
-    assert looping.length(LengthConvention.ROUNDS_PLUS_FINAL) == 1
-
-
 def test_safety_valve_trips_on_tiny_cap():
+    # a doctored rule that reports an elimination but keeps every alternative
+    # live defeats fixed-point detection, so only the fixed cap can stop it
+    def never_shrinks(counts, thresholds):
+        live = frozenset(counts)
+        return live, frozenset({min(live)})
+
     config = GameConfig(
         weights=(1, 1),
         alternatives=frozenset(range(1, 11)),
         preferences=(tuple(range(1, 11)), tuple(range(10, 0, -1))),
         initial_thresholds={x: F(2, 5) for x in range(1, 11)},
     )
-    with pytest.raises(StageLimitExceeded):
-        play(config, EngineOptions(max_stages=1))
+    options = EngineOptions(ThresholdRule.STATIC, elimination_override=never_shrinks)
+    with pytest.raises(StageLimitExceeded, match="safety cap of 18 stages"):
+        play(config, options)
 
 
 def test_replay_reproduces_and_detects_divergence():

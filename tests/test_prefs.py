@@ -4,40 +4,35 @@ from collections import Counter
 import pytest
 
 from votegame.core import InvalidConfig, PreferenceOrder
-from votegame.prefs import (
-    Seed,
-    UniformRandom,
-    generate,
-    incremental_rankings,
-    read_profile_file,
-)
+from votegame.prefs import Seed, generate, incremental_rankings
+from votegame.serialize import load_run_config
 
 
 def test_single_alternative_profile():
-    out = generate(UniformRandom(4, 1, Seed(99)))
+    out = generate(4, 1, Seed(99))
     assert out == [PreferenceOrder((1,))] * 4
 
 
 def test_seed_determinism():
-    a = generate(UniformRandom(5, 8, Seed(7, 3)))
-    b = generate(UniformRandom(5, 8, Seed(7, 3)))
+    a = generate(5, 8, Seed(7, 3))
+    b = generate(5, 8, Seed(7, 3))
     assert a == b
-    c = generate(UniformRandom(5, 8, Seed(7, 4)))
+    c = generate(5, 8, Seed(7, 4))
     assert a != c
-    d = generate(UniformRandom(5, 8, Seed(8, 3)))
+    d = generate(5, 8, Seed(8, 3))
     assert a != d
 
 
 def test_trials_are_independent_streams():
     # trial 5 is the same whether or not other trials were generated first
-    fresh = generate(UniformRandom(3, 6, Seed(11, 5)))
+    fresh = generate(3, 6, Seed(11, 5))
     for t in range(5):
-        generate(UniformRandom(3, 6, Seed(11, t)))
-    assert generate(UniformRandom(3, 6, Seed(11, 5))) == fresh
+        generate(3, 6, Seed(11, t))
+    assert generate(3, 6, Seed(11, 5)) == fresh
 
 
 def test_agents_have_distinct_streams():
-    orders = generate(UniformRandom(40, 10, Seed(21)))
+    orders = generate(40, 10, Seed(21))
     assert len(set(orders)) > 1
 
 
@@ -46,7 +41,7 @@ def test_uniform_frequencies_over_sixty_thousand_draws():
     # every one of the 6 orders should land within 0.01 of 1/6
     counts = Counter()
     for trial in range(20_000):
-        for p in generate(UniformRandom(3, 3, Seed(314159, trial))):
+        for p in generate(3, 3, Seed(314159, trial)):
             counts[p.ranking] += 1
     assert len(counts) == 6
     total = sum(counts.values())
@@ -57,7 +52,7 @@ def test_uniform_frequencies_over_sixty_thousand_draws():
 
 def test_incremental_rankings_match_generate():
     seed = Seed(2024, 17)
-    eager = generate(UniformRandom(6, 9, seed))
+    eager = generate(6, 9, seed)
     lazy = incremental_rankings(6, 9, seed)
     for ranking, order in zip(lazy, eager, strict=True):
         full = order.ranking
@@ -73,10 +68,21 @@ def test_seed_validation():
         Seed(0, -1)
 
 
+def load_with_profile(tmp_path, profile):
+    # profile files are read by serialize.load_run_config, like inline rankings
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps({
+        "alternatives": ["a", "b"],
+        "preferences": {"file": str(tmp_path / "profile.json")},
+        "thresholds": "2n/m",
+    }))
+    return load_run_config(config)[0]
+
+
 def test_read_profile_file(tmp_path):
-    path = tmp_path / "profile.json"
-    path.write_text(json.dumps([["a", "b"], ["b", "a"]]))
-    assert read_profile_file(path) == [["a", "b"], ["b", "a"]]
+    config = load_with_profile(tmp_path, [["a", "b"], ["b", "a"]])
+    assert [p.ranking for p in config.preferences] == [(1, 2), (2, 1)]
 
 
 @pytest.mark.parametrize(
@@ -84,7 +90,5 @@ def test_read_profile_file(tmp_path):
     [[], [["a", "a"]], [["a"], "b"], "nope", [[1, 2]]],
 )
 def test_read_profile_file_rejects_malformed(tmp_path, doc):
-    path = tmp_path / "profile.json"
-    path.write_text(json.dumps(doc))
     with pytest.raises(InvalidConfig):
-        read_profile_file(path)
+        load_with_profile(tmp_path, doc)

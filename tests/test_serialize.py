@@ -6,7 +6,6 @@ from votegame.core import GameConfig, InvalidConfig
 from votegame.engine import (
     AllEliminated,
     EngineOptions,
-    LengthConvention,
     NonTerminating,
     ThresholdRule,
     Winner,
@@ -50,11 +49,8 @@ def test_config_from_dict_missing_field():
 
 
 def test_options_round_trip():
-    options = EngineOptions(
-        threshold_rule=ThresholdRule.STATIC,
-        length_convention=LengthConvention.ROUNDS_PLUS_FINAL,
-        max_stages=12,
-    )
+    options = EngineOptions(threshold_rule=ThresholdRule.STATIC)
+    assert options_to_dict(options) == {"threshold_rule": "static"}
     assert options_from_dict(options_to_dict(options)) == options
     assert options_from_dict({}) == EngineOptions()
 
@@ -83,15 +79,67 @@ def test_trace_round_trip_bit_exact():
 
 @pytest.mark.parametrize("max_stages", ["lots", True, 0])
 def test_trace_rejects_bad_max_stages(max_stages):
+    # max_stages is no longer an engine option, so any value is an unknown field
     doc = trace_to_dict(play(sample_config()))
     doc["options"]["max_stages"] = max_stages
-    with pytest.raises(InvalidConfig, match="max_stages"):
+    with pytest.raises(InvalidConfig, match="unknown field 'max_stages'"):
         trace_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"length_convention": "rounds_played"}, "unknown field 'length_convention'"),
+        ({"threshold_rule": "sometimes"}, "sometimes"),
+        (5, "must be a JSON object"),
+    ],
+)
+def test_trace_rejects_bad_options(options, message):
+    doc = trace_to_dict(play(sample_config()))
+    doc["options"] = options
+    with pytest.raises(InvalidConfig, match=message):
+        trace_from_dict(doc)
+
+
+def v1_document():
+    # the previous trace format, whose options also held length_convention
+    # and max_stages
+    doc = trace_to_dict(play(sample_config()))
+    doc["format"] = "votegame-trace-v1"
+    doc["options"].update(length_convention="rounds_played", max_stages=None)
+    return doc
+
+
 def test_trace_rejects_foreign_document():
-    with pytest.raises(InvalidConfig, match="votegame-trace"):
-        trace_from_dict({"format": "something-else"})
+    for doc in [{"format": "something-else"}, v1_document(), []]:
+        with pytest.raises(InvalidConfig, match="not a votegame-trace-v2 document"):
+            trace_from_dict(doc)
+
+
+def missing_config(doc):
+    del doc["config"]
+
+
+def config_not_object(doc):
+    doc["config"] = 5
+
+
+def stage_missing_key(doc):
+    del doc["stages"][0]["tally"]
+
+
+def stages_not_list(doc):
+    doc["stages"] = 5
+
+
+@pytest.mark.parametrize(
+    "damage", [missing_config, config_not_object, stage_missing_key, stages_not_list]
+)
+def test_trace_rejects_malformed_document(damage):
+    doc = trace_to_dict(play(sample_config()))
+    damage(doc)
+    with pytest.raises(InvalidConfig, match="malformed trace document"):
+        trace_from_dict(doc)
 
 
 def test_trace_file_round_trip(tmp_path):
