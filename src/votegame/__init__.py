@@ -22,14 +22,12 @@ from .engine import (
     LengthConvention,
     NonTerminating,
     Outcome,
-    ReplayDivergence,
     StageLimitExceeded,
     StageRecord,
     ThresholdRule,
     Winner,
     audit_elimination_guarantee,
     play,
-    replay,
     run_stages,
 )
 from .prefs import Seed, generate
@@ -45,7 +43,6 @@ __all__ = [
     "NonTerminating",
     "Outcome",
     "PreferenceOrder",
-    "ReplayDivergence",
     "Seed",
     "StageLimitExceeded",
     "StageRecord",
@@ -57,7 +54,6 @@ __all__ = [
     "generate",
     "guarantees_elimination",
     "play",
-    "replay",
     "run_stages",
     "sincere_choice",
     "tally",

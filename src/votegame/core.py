@@ -127,10 +127,6 @@ class GameConfig:
                 raise InvalidConfig(f"initial_thresholds: alternative {x} has {f} < 0")
 
     @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @property
     def total_votes(self) -> int:
         return sum(self.weights)
 

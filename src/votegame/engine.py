@@ -108,10 +108,6 @@ class StageLimitExceeded(RuntimeError):
     """The safety cap tripped; this indicates an engine bug, not a game state."""
 
 
-class ReplayDivergence(RuntimeError):
-    """A replayed game did not reproduce its trace bit-for-bit."""
-
-
 def run_stages(
     weights: Mapping[AgentId, int],
     alternatives: Iterable[AlternativeId],
@@ -182,21 +178,6 @@ def play(config: GameConfig, options: EngineOptions = EngineOptions()) -> GameTr
     return GameTrace(config, options, tuple(stages), outcome)
 
 
-def replay(trace: GameTrace) -> GameTrace:
-    """Re-run a trace's config and insist on a bit-identical result."""
-    again = play(trace.config, trace.options)
-    if again.stages != trace.stages or again.outcome != trace.outcome:
-        for ours, theirs in zip(again.stages, trace.stages):
-            if ours != theirs:
-                raise ReplayDivergence(
-                    f"replay diverged at stage {theirs.stage}"
-                )
-        raise ReplayDivergence(
-            f"replay diverged after stage {min(len(again.stages), len(trace.stages))}"
-        )
-    return again
-
-
 @dataclass(frozen=True)
 class StageCertificate:
     stage: int
@@ -217,13 +198,6 @@ class CertificateReport:
     @property
     def passed(self) -> bool:
         return all(s.ok for s in self.stages)
-
-    @property
-    def first_violation(self) -> Optional[int]:
-        for s in self.stages:
-            if not s.ok:
-                return s.stage
-        return None
 
 
 def audit_elimination_guarantee(trace: GameTrace) -> CertificateReport:

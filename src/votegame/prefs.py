@@ -26,8 +26,8 @@ class Seed:
     def __post_init__(self):
         if not 0 <= self.master < (1 << 64):
             raise ValueError("master seed must fit in 64 unsigned bits")
-        if self.trial_index < 0:
-            raise ValueError("trial index must be nonnegative")
+        if not 0 <= self.trial_index < (1 << 64):
+            raise ValueError("trial index must fit in 64 unsigned bits")
 
 
 def agent_stream(seed: Seed, agent: int) -> Xoshiro256StarStar:

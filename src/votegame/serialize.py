@@ -1,14 +1,14 @@
-"""Every file format: game configs, profile files, sweep specs and traces.
+"""Every file format: game configs, profile files and sweep specs are read,
+traces are written.
 
 Each reader validates its document completely and raises ``InvalidConfig``
 with a one-line message for anything malformed, so a bad file never reaches
 the engine.  One rule picks the master seed for every command.
 
-Traces round-trip losslessly: rational values travel as exact
+Traces are written, never read: rational values travel as exact
 "numerator/denominator" strings (plain integers stay plain), never as
-floats, so a loaded trace compares equal to the one that was saved.
-Documents are emitted with sorted keys and a fixed layout, making serialized
-output byte-stable across runs.
+floats.  Documents are emitted with sorted keys and a fixed layout, making
+serialized output byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ def _thresholds_to_dict(thresholds: Mapping[int, Fraction]) -> dict[str, str]:
     return {str(x): str(f) for x, f in sorted(thresholds.items())}
 
 
-def _thresholds_from_dict(doc: Mapping[str, str]) -> dict[int, Fraction]:
-    return {int(x): as_rational(f) for x, f in doc.items()}
-
-
 def config_to_dict(config: GameConfig) -> dict[str, Any]:
     return {
         "weights": list(config.weights),
@@ -103,24 +99,12 @@ def config_to_dict(config: GameConfig) -> dict[str, Any]:
     }
 
 
-def config_from_dict(doc: Mapping[str, Any]) -> GameConfig:
-    try:
-        return GameConfig(
-            weights=tuple(doc["weights"]),
-            alternatives=frozenset(doc["alternatives"]),
-            preferences=tuple(tuple(p) for p in doc["preferences"]),
-            initial_thresholds=_thresholds_from_dict(doc["initial_thresholds"]),
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"config document is missing field {exc}") from exc
-
-
 def options_to_dict(options: EngineOptions) -> dict[str, Any]:
     return {"threshold_rule": options.threshold_rule.value}
 
 
 def options_from_dict(doc: Any) -> EngineOptions:
-    """The one engine-option parser, for game configs and traces alike."""
+    """The one engine-option parser: a game config's ``engine`` object."""
     _require_keys(doc, {"threshold_rule"}, "engine")
     try:
         return EngineOptions(ThresholdRule(doc.get("threshold_rule", "updating")))
@@ -138,17 +122,6 @@ def outcome_to_dict(outcome: Outcome) -> dict[str, Any]:
     raise TypeError(f"not an outcome: {outcome!r}")
 
 
-def outcome_from_dict(doc: Mapping[str, Any]) -> Outcome:
-    kind = doc.get("kind")
-    if kind == "winner":
-        return Winner(doc["alternative"])
-    if kind == "all_eliminated":
-        return AllEliminated()
-    if kind == "non_terminating":
-        return NonTerminating(doc["at_stage"])
-    raise InvalidConfig(f"unknown outcome kind: {kind!r}")
-
-
 def stage_to_dict(record: StageRecord) -> dict[str, Any]:
     return {
         "stage": record.stage,
@@ -159,18 +132,6 @@ def stage_to_dict(record: StageRecord) -> dict[str, Any]:
         "eliminated": sorted(record.eliminated),
         "thresholds_after": _thresholds_to_dict(record.thresholds_after),
     }
-
-
-def stage_from_dict(doc: Mapping[str, Any]) -> StageRecord:
-    return StageRecord(
-        stage=doc["stage"],
-        live_before=frozenset(doc["live_before"]),
-        thresholds_before=_thresholds_from_dict(doc["thresholds_before"]),
-        profile={int(a): x for a, x in doc["profile"].items()},
-        tally={int(x): r for x, r in doc["tally"].items()},
-        eliminated=frozenset(doc["eliminated"]),
-        thresholds_after=_thresholds_from_dict(doc["thresholds_after"]),
-    )
 
 
 def trace_to_dict(
@@ -188,29 +149,6 @@ def trace_to_dict(
     return doc
 
 
-def trace_from_dict(doc: Any) -> GameTrace:
-    if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
-        raise InvalidConfig(f"not a {TRACE_FORMAT} document")
-    try:
-        return GameTrace(
-            config=config_from_dict(doc["config"]),
-            options=options_from_dict(doc["options"]),
-            stages=tuple(stage_from_dict(s) for s in doc["stages"]),
-            outcome=outcome_from_dict(doc["outcome"]),
-        )
-    except InvalidConfig:
-        raise
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise InvalidConfig(f"malformed trace document: {exc!r}") from exc
-
-
-def trace_labels(doc: Mapping[str, Any]) -> Optional[dict[int, str]]:
-    labels = doc.get("labels")
-    if labels is None:
-        return None
-    return {int(x): name for x, name in labels.items()}
-
-
 def dumps(doc: Mapping[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -219,10 +157,6 @@ def save_trace(
     trace: GameTrace, path: str | Path, labels: Optional[Mapping[int, str]] = None
 ) -> None:
     Path(path).write_text(dumps(trace_to_dict(trace, labels)), encoding="utf-8")
-
-
-def load_trace(path: str | Path) -> GameTrace:
-    return trace_from_dict(_read_json(path, "trace file"))
 
 
 def load_run_config(
@@ -267,7 +201,9 @@ def load_run_config(
         agents = _integer(uni.get("agents"), "preferences.uniform.agents", 1)
         seed = Seed(
             default_seed(seed_override, uni.get("master_seed")),
-            _integer(uni.get("trial", 0), "preferences.uniform.trial", 0),
+            _integer(
+                uni.get("trial", 0), "preferences.uniform.trial", 0, _SEED_LIMIT
+            ),
         )
         preferences = tuple(p.ranking for p in generate(agents, m, seed))
     else:

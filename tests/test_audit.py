@@ -15,7 +15,7 @@ def test_random_configs_satisfy_the_mass_condition():
     for seed in range(50):
         rng = Xoshiro256StarStar(seed)
         config = random_guaranteed_config(rng, max_agents=16, max_alternatives=12)
-        assert 1 <= config.n <= 16
+        assert 1 <= len(config.weights) <= 16
         assert 2 <= len(config.alternatives) <= 12
         assert all(1 <= w <= 3 for w in config.weights)
         assert guarantees_elimination(config.initial_thresholds, config.weight_map())

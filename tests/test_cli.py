@@ -1,11 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from votegame.cli import main
-from votegame.engine import NonTerminating
-from votegame.serialize import load_trace
 
 
 def write_json(path, doc):
@@ -53,13 +52,14 @@ def test_play_unknown_bundled_name(capsys):
     assert "no bundled config" in capsys.readouterr().err
 
 
-def test_play_writes_a_loadable_trace(tmp_path, capsys):
-    config = write_json(tmp_path / "game.json", cycle_config_doc())
+def test_play_writes_the_trace_named_in_the_config(tmp_path, capsys):
+    # the cycle config is the bundled nonterminating_cycle fixture
     trace_path = tmp_path / "out.trace.json"
-    code = main(["play", config, "--trace-out", str(trace_path)])
+    doc = cycle_config_doc(trace_out=str(trace_path))
+    code = main(["play", write_json(tmp_path / "game.json", doc)])
     assert code == 3
-    trace = load_trace(trace_path)
-    assert trace.outcome == NonTerminating(at_stage=1)
+    golden = Path(__file__).parent / "golden" / "nonterminating_cycle.trace.json"
+    assert trace_path.read_bytes() == golden.read_bytes()
 
 
 def test_play_rejects_unknown_field(tmp_path, capsys):
@@ -297,7 +297,11 @@ def test_play_rejects_malformed_profile_file(tmp_path, capsys, profile, message)
         ("play", uniform_config_doc(
             preferences={"uniform": {"agents": 3, "trial": -1}}
         )),
+        ("play", uniform_config_doc(
+            preferences={"uniform": {"agents": 3, "trial": 1 << 64}}
+        )),
         ("play", cycle_config_doc(engine=5)),
+        ("play", cycle_config_doc(engine={"threshold_rule": "sometimes"})),
         ("play", cycle_config_doc(preferences={"file": "missing.json"})),
         ("play", cycle_config_doc(thresholds={"x1": "1e3000000", "x2": 1, "x3": 1})),
     ],
@@ -307,7 +311,9 @@ def test_play_rejects_malformed_profile_file(tmp_path, capsys, profile, message)
         "negative-seed",
         "negative-uniform-seed",
         "negative-trial",
+        "trial-too-large",
         "engine-not-object",
+        "bad-threshold-rule",
         "missing-profile-file",
         "exponent-threshold",
     ],
@@ -368,7 +374,7 @@ BAD_PLAY_FIELDS = {
         st.fixed_dictionaries({"file": NOT_INT}),
         st.fixed_dictionaries({"uniform": NOT_OBJECT}),
         uniform(agents=below(1)),
-        uniform(agents=st.just(3), trial=below(0)),
+        uniform(agents=st.just(3), trial=BAD_SEED),
         uniform(agents=st.just(3), master_seed=BAD_SEED),
     ),
     "thresholds": st.one_of(

@@ -66,6 +66,8 @@ def test_seed_validation():
         Seed(1 << 64)
     with pytest.raises(ValueError):
         Seed(0, -1)
+    with pytest.raises(ValueError):
+        Seed(0, 1 << 64)
 
 
 def load_with_profile(tmp_path, profile):
