@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .core import (
     GameConfig,
     InvalidConfig,
-    PreferenceOrder,
     as_rational,
     eliminate,
     guarantees_elimination,
@@ -17,7 +16,6 @@ from .core import (
 from .engine import (
     AllEliminated,
     CertificateReport,
-    EngineOptions,
     GameTrace,
     LengthConvention,
     NonTerminating,
@@ -35,14 +33,12 @@ from .prefs import Seed, generate
 __all__ = [
     "AllEliminated",
     "CertificateReport",
-    "EngineOptions",
     "GameConfig",
     "GameTrace",
     "InvalidConfig",
     "LengthConvention",
     "NonTerminating",
     "Outcome",
-    "PreferenceOrder",
     "Seed",
     "StageLimitExceeded",
     "StageRecord",

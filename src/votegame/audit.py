@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import core, engine
 from .core import GameConfig
-from .engine import EliminationRule, EngineOptions, ThresholdRule
+from .engine import EliminationRule, ThresholdRule
 from .rng import Xoshiro256StarStar, mix64, shuffled
 
 _AUDIT_STREAM_TAG = 0x61756474
@@ -111,10 +111,7 @@ def run_audit(
             # rejects below-threshold "survivors" outright, which would stop
             # a doctored game before the certificate ever saw it
             rule = ThresholdRule.STATIC
-        options = EngineOptions(
-            threshold_rule=rule, elimination_override=elimination_override
-        )
-        trace = engine.play(config, options)
+        trace = engine.play(config, rule, elimination_override)
 
         certificate = engine.audit_elimination_guarantee(trace)
         stages_checked += len(certificate.stages)

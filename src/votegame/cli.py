@@ -50,13 +50,13 @@ def _format_votes(record, id_to_label) -> str:
 
 def cmd_play(args) -> int:
     path = _resolve_config_path(args.config)
-    config, options, labels, trace_out = serialize.load_run_config(path, args.seed)
+    config, rule, labels, trace_out = serialize.load_run_config(path, args.seed)
     if config.trivial_all_eliminated:
         print(
             "warning: every threshold exceeds the total vote weight; "
             "stage 1 eliminates everything"
         )
-    trace = play(config, options)
+    trace = play(config, rule)
     for record in trace.stages:
         gone = ", ".join(labels[x] for x in sorted(record.eliminated)) or "none"
         line = f"stage {record.stage}: eliminated {gone}"
@@ -120,13 +120,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    for flag, value, low in (
-        ("--trials", args.trials, 1),
-        ("--max-agents", args.max_agents, 1),
-        ("--max-alternatives", args.max_alternatives, 2),
+    # the audit draws its sizes with rng.below, whose bound is at most 2^64
+    for flag, value, low, high in (
+        ("--trials", args.trials, 1, None),
+        ("--max-agents", args.max_agents, 1, 1 << 64),
+        ("--max-alternatives", args.max_alternatives, 2, 1 << 64),
     ):
         if value < low:
             print(f"error: {flag} must be at least {low}", file=sys.stderr)
+            return EXIT_USAGE
+        if high is not None and value > high:
+            print(f"error: {flag} must be at most 2^64", file=sys.stderr)
             return EXIT_USAGE
     override = audit_mod.off_by_one_elimination if args.inject_off_by_one else None
     report = audit_mod.run_audit(

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Mapping, Union
+from typing import AbstractSet, Mapping, Sequence, Union
 
-AgentId = int          # 1-based
 AlternativeId = int    # 1-based, stable across stages
 RationalLike = Union[int, str, Fraction]
 
@@ -47,48 +46,25 @@ def as_rational(value: RationalLike) -> Fraction:
     raise InvalidConfig(f"not a rational number: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PreferenceOrder:
-    """A strict total order over alternatives, most preferred first.
-
-    Orders are fixed for the whole repeated game; agents never change their
-    minds between stages.
-    """
-
-    ranking: tuple[AlternativeId, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        if not self.ranking:
-            raise InvalidConfig("preference ranking is empty")
-        if len(set(self.ranking)) != len(self.ranking):
-            raise InvalidConfig(f"preference ranking has duplicates: {self.ranking}")
-
-
 @dataclass(frozen=True)
 class GameConfig:
     """A single-stage game: agents, weights, alternatives, preferences, thresholds.
 
-    weights[i] is agent i+1's vote weight (agents are numbered 1..n).
+    weights[i] is agent i+1's vote weight (agents are numbered 1..n), and
+    preferences[i] is that agent's ranking: a strict total order over the
+    alternatives, most preferred first, fixed for the whole repeated game.
     initial_thresholds maps every alternative to its stage-1 threshold.
     """
 
     weights: tuple[int, ...]
     alternatives: frozenset[AlternativeId]
-    preferences: tuple[PreferenceOrder, ...]
+    preferences: tuple[tuple[AlternativeId, ...], ...]
     initial_thresholds: Mapping[AlternativeId, Fraction]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "alternatives", frozenset(self.alternatives))
-        object.__setattr__(
-            self,
-            "preferences",
-            tuple(
-                p if isinstance(p, PreferenceOrder) else PreferenceOrder(tuple(p))
-                for p in self.preferences
-            ),
-        )
+        object.__setattr__(self, "preferences", tuple(map(tuple, self.preferences)))
         object.__setattr__(
             self,
             "initial_thresholds",
@@ -97,6 +73,11 @@ class GameConfig:
         self._validate()
 
     def _validate(self):
+        for p in self.preferences:
+            if not p:
+                raise InvalidConfig("preference ranking is empty")
+            if len(set(p)) != len(p):
+                raise InvalidConfig(f"preference ranking has duplicates: {p}")
         if not self.weights:
             raise InvalidConfig("weights: need at least one agent")
         for i, w in enumerate(self.weights):
@@ -113,7 +94,7 @@ class GameConfig:
                 f"{len(self.weights)} agents"
             )
         for i, p in enumerate(self.preferences):
-            if set(p.ranking) != self.alternatives:
+            if set(p) != self.alternatives:
                 raise InvalidConfig(
                     f"preferences: agent {i + 1}'s ranking is not a permutation "
                     f"of the alternative set"
@@ -140,37 +121,37 @@ class GameConfig:
         total = self.total_votes
         return all(f > total for f in self.initial_thresholds.values())
 
-    def weight_map(self) -> dict[AgentId, int]:
-        return {i + 1: w for i, w in enumerate(self.weights)}
 
-
-def sincere_choice(prefs: PreferenceOrder, live: AbstractSet[AlternativeId]) -> AlternativeId:
+def sincere_choice(
+    ranking: Sequence[AlternativeId], live: AbstractSet[AlternativeId]
+) -> AlternativeId:
     """The agent's most preferred alternative among those still live."""
     if not live:
         raise ValueError("live set is empty")
-    for x in prefs.ranking:
+    for x in ranking:
         if x in live:
             return x
     raise ValueError("no live alternative appears in the ranking")
 
 
 def tally(
-    profile: Mapping[AgentId, AlternativeId],
-    weights: Mapping[AgentId, int],
+    profile: Sequence[AlternativeId],
+    weights: Sequence[int],
     live: AbstractSet[AlternativeId],
 ) -> Tally:
     """Total weighted votes per live alternative; zero for the unchosen.
 
-    A vote for a non-live alternative is an error: once eliminated, an
-    alternative can never be voted for again.
+    profile[i] is agent i+1's vote and weights[i] its weight.  A vote for a
+    non-live alternative is an error: once eliminated, an alternative can
+    never be voted for again.
     """
     counts: Tally = {x: 0 for x in live}
-    for agent, choice in profile.items():
+    for agent, (choice, weight) in enumerate(zip(profile, weights, strict=True), start=1):
         if choice not in counts:
             raise ValueError(
                 f"agent {agent} voted for non-live alternative {choice}"
             )
-        counts[choice] += weights[agent]
+        counts[choice] += weight
     return counts
 
 
@@ -243,7 +224,7 @@ def update_thresholds(
 
 def guarantees_elimination(
     thresholds: Mapping[AlternativeId, Fraction],
-    weights: Mapping[AgentId, int],
+    weights: Sequence[int],
 ) -> bool:
     """True iff total threshold mass strictly exceeds total vote weight.
 
@@ -251,7 +232,7 @@ def guarantees_elimination(
     to the total vote weight), so every stage eliminates at least one
     alternative and the game ends within (initial alternatives - 1) stages.
     """
-    return _fsum(thresholds.values()) > sum(weights.values())
+    return _fsum(thresholds.values()) > sum(weights)
 
 
 def threshold_total(thresholds: Mapping[AlternativeId, Fraction]) -> Fraction:

@@ -11,13 +11,13 @@ outcome instead of looping.  Consequently every run returns after at most
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import core
-from .core import AgentId, AlternativeId, GameConfig
+from .core import AlternativeId, GameConfig
 
 Chooser = Callable[[AbstractSet[AlternativeId]], AlternativeId]
 EliminationRule = Callable[
@@ -46,25 +46,13 @@ class LengthConvention(enum.Enum):
 
 
 @dataclass(frozen=True)
-class EngineOptions:
-    """A game's one rule: static or updating thresholds.  How its length is
-    counted belongs to the sweep's report (``SweepSpec.length_convention``)."""
-
-    threshold_rule: ThresholdRule = ThresholdRule.UPDATING
-    # Test seam for audit negative controls; never serialized.
-    elimination_override: Optional[EliminationRule] = field(
-        default=None, compare=False, repr=False
-    )
-
-
-@dataclass(frozen=True)
 class StageRecord:
     """Everything that happened in one round of voting."""
 
     stage: int
     live_before: frozenset[AlternativeId]
     thresholds_before: dict[AlternativeId, Fraction]
-    profile: dict[AgentId, AlternativeId]
+    profile: list[AlternativeId]  # agent i+1's vote at index i
     tally: dict[AlternativeId, int]
     eliminated: frozenset[AlternativeId]
     thresholds_after: dict[AlternativeId, Fraction]  # survivors only
@@ -95,7 +83,7 @@ Outcome = Union[Winner, AllEliminated, NonTerminating]
 @dataclass(frozen=True)
 class GameTrace:
     config: GameConfig
-    options: EngineOptions
+    rule: ThresholdRule
     stages: tuple[StageRecord, ...]
     outcome: Outcome
 
@@ -109,25 +97,28 @@ class StageLimitExceeded(RuntimeError):
 
 
 def run_stages(
-    weights: Mapping[AgentId, int],
+    weights: Sequence[int],
     alternatives: Iterable[AlternativeId],
     initial_thresholds: Mapping[AlternativeId, Fraction],
-    choosers: Mapping[AgentId, Chooser],
-    options: EngineOptions = EngineOptions(),
+    choosers: list[Chooser],
+    rule: ThresholdRule,
+    eliminate: Optional[EliminationRule] = None,
 ) -> tuple[list[StageRecord], Outcome]:
-    """Drive a repeated game; choosers[agent](live) yields that agent's vote.
+    """Drive a repeated game; choosers[i](live) yields agent i+1's vote.
 
     This is the single game loop behind both ``play`` (materialized
     preference orders) and the sweep harness (lazily revealed orders).
-    ``StageLimitExceeded`` past the fixed safety cap means an engine bug.
+    ``eliminate`` replaces ``core.eliminate`` only for the audit's negative
+    controls.  ``StageLimitExceeded`` past the fixed safety cap means an
+    engine bug.
     """
     live = frozenset(alternatives)
     thresholds = dict(initial_thresholds)
     # unreachable if the engine is correct (a game lasts at most m - 1
     # stages); present purely to turn bugs into loud failures
     cap = len(live) + 8
-    eliminate = options.elimination_override or core.eliminate
-    updating = options.threshold_rule is ThresholdRule.UPDATING
+    eliminate = eliminate or core.eliminate
+    updating = rule is ThresholdRule.UPDATING
     stages: list[StageRecord] = []
     k = 0
     while len(live) >= 2:
@@ -136,7 +127,7 @@ def run_stages(
             raise StageLimitExceeded(
                 f"stage {k} exceeds the safety cap of {cap} stages"
             )
-        profile = {agent: choose(live) for agent, choose in choosers.items()}
+        profile = [choose(live) for choose in choosers]
         counts = core.tally(profile, weights, live)
         survivors, eliminated = eliminate(counts, thresholds)
         if updating and survivors:
@@ -162,20 +153,22 @@ def run_stages(
     return stages, AllEliminated()
 
 
-def play(config: GameConfig, options: EngineOptions = EngineOptions()) -> GameTrace:
+def play(
+    config: GameConfig,
+    rule: ThresholdRule = ThresholdRule.UPDATING,
+    eliminate: Optional[EliminationRule] = None,
+) -> GameTrace:
     """Play one full repeated game from a config and record its trace."""
-    choosers = {
-        agent: partial(core.sincere_choice, prefs)
-        for agent, prefs in enumerate(config.preferences, start=1)
-    }
+    choosers = [partial(core.sincere_choice, p) for p in config.preferences]
     stages, outcome = run_stages(
-        config.weight_map(),
+        config.weights,
         config.alternatives,
         config.initial_thresholds,
         choosers,
-        options,
+        rule,
+        eliminate,
     )
-    return GameTrace(config, options, tuple(stages), outcome)
+    return GameTrace(config, rule, tuple(stages), outcome)
 
 
 @dataclass(frozen=True)
@@ -207,9 +200,8 @@ def audit_elimination_guarantee(trace: GameTrace) -> CertificateReport:
     alternative must have been eliminated there; this report proves it for a
     given trace (or pinpoints the first stage where it failed).
     """
-    weights = trace.config.weight_map()
     certs = []
     for s in trace.stages:
-        held = core.guarantees_elimination(s.thresholds_before, weights)
+        held = core.guarantees_elimination(s.thresholds_before, trace.config.weights)
         certs.append(StageCertificate(s.stage, held, len(s.eliminated)))
     return CertificateReport(tuple(certs))

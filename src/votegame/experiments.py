@@ -25,7 +25,6 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .core import InvalidConfig
 from .engine import (
-    EngineOptions,
     LengthConvention,
     NonTerminating,
     ThresholdRule,
@@ -151,17 +150,18 @@ class ExperimentReport:
 def _run_cell(m: int, n: int, trials: int, master_seed: int) -> CellResult:
     threshold = Fraction(2 * n, m)
     initial_thresholds = {x: threshold for x in range(1, m + 1)}
-    weights = {agent: 1 for agent in range(1, n + 1)}
-    options = EngineOptions(threshold_rule=ThresholdRule.UPDATING)
+    weights = (1,) * n
     winner = all_eliminated = rounds_total = rounds_sq_total = 0
     for t in range(trials):
         seed = Seed(master_seed, mix64(m, n, t))
         rankings = incremental_rankings(n, m, seed)
-        choosers = {
-            agent: rankings[agent - 1].first_in for agent in range(1, n + 1)
-        }
+        choosers = [r.first_in for r in rankings]
         stages, outcome = run_stages(
-            weights, range(1, m + 1), initial_thresholds, choosers, options
+            weights,
+            range(1, m + 1),
+            initial_thresholds,
+            choosers,
+            ThresholdRule.UPDATING,
         )
         k = len(stages)
         if isinstance(outcome, NonTerminating) or k > m - 1:

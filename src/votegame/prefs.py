@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PreferenceOrder
 from .rng import IncrementalRanking, Xoshiro256StarStar, mix64, shuffled
 
 _PREF_STREAM_TAG = 0x70726566  # domain separation from other streams
@@ -50,11 +49,11 @@ def incremental_rankings(n: int, m: int, seed: Seed) -> list[IncrementalRanking]
     ]
 
 
-def generate(n: int, m: int, seed: Seed) -> list[PreferenceOrder]:
+def generate(n: int, m: int, seed: Seed) -> list[tuple[int, ...]]:
     """n i.i.d. uniform random strict orders over alternatives 1..m, one per
     agent, each an eager shuffle of that agent's own stream."""
     alternatives = range(1, m + 1)
     return [
-        PreferenceOrder(shuffled(alternatives, agent_stream(seed, agent)))
+        shuffled(alternatives, agent_stream(seed, agent))
         for agent in range(1, n + 1)
     ]

@@ -75,8 +75,8 @@ class Xoshiro256StarStar:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) with rejection, so no modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < bound <= _TWO64:  # above 2^64 no draw would be accepted
+            raise ValueError("bound must be in [1, 2^64]")
         if bound == 1:
             return 0
         limit = _TWO64 - (_TWO64 % bound)

@@ -22,7 +22,6 @@ from typing import Any, Mapping, Optional
 from .core import GameConfig, InvalidConfig, as_rational
 from .engine import (
     AllEliminated,
-    EngineOptions,
     GameTrace,
     LengthConvention,
     NonTerminating,
@@ -94,20 +93,16 @@ def config_to_dict(config: GameConfig) -> dict[str, Any]:
     return {
         "weights": list(config.weights),
         "alternatives": sorted(config.alternatives),
-        "preferences": [list(p.ranking) for p in config.preferences],
+        "preferences": [list(p) for p in config.preferences],
         "initial_thresholds": _thresholds_to_dict(config.initial_thresholds),
     }
 
 
-def options_to_dict(options: EngineOptions) -> dict[str, Any]:
-    return {"threshold_rule": options.threshold_rule.value}
-
-
-def options_from_dict(doc: Any) -> EngineOptions:
-    """The one engine-option parser: a game config's ``engine`` object."""
+def rule_from_dict(doc: Any) -> ThresholdRule:
+    """The threshold rule named by a game config's ``engine`` object."""
     _require_keys(doc, {"threshold_rule"}, "engine")
     try:
-        return EngineOptions(ThresholdRule(doc.get("threshold_rule", "updating")))
+        return ThresholdRule(doc.get("threshold_rule", "updating"))
     except ValueError as exc:
         raise InvalidConfig(f"engine: {exc}") from exc
 
@@ -127,7 +122,7 @@ def stage_to_dict(record: StageRecord) -> dict[str, Any]:
         "stage": record.stage,
         "live_before": sorted(record.live_before),
         "thresholds_before": _thresholds_to_dict(record.thresholds_before),
-        "profile": {str(a): x for a, x in sorted(record.profile.items())},
+        "profile": {str(a): x for a, x in enumerate(record.profile, start=1)},
         "tally": {str(x): r for x, r in sorted(record.tally.items())},
         "eliminated": sorted(record.eliminated),
         "thresholds_after": _thresholds_to_dict(record.thresholds_after),
@@ -140,7 +135,7 @@ def trace_to_dict(
     doc: dict[str, Any] = {
         "format": TRACE_FORMAT,
         "config": config_to_dict(trace.config),
-        "options": options_to_dict(trace.options),
+        "options": {"threshold_rule": trace.rule.value},
         "stages": [stage_to_dict(s) for s in trace.stages],
         "outcome": outcome_to_dict(trace.outcome),
     }
@@ -161,8 +156,8 @@ def save_trace(
 
 def load_run_config(
     path: Path, seed_override: Optional[int] = None
-) -> tuple[GameConfig, EngineOptions, dict[int, str], Optional[str]]:
-    """Parse a run config file into (config, options, id->label, trace_out)."""
+) -> tuple[GameConfig, ThresholdRule, dict[int, str], Optional[str]]:
+    """Parse a run config file into (config, rule, id->label, trace_out)."""
     doc = _read_json(path, "config file")
     _require_keys(
         doc,
@@ -205,7 +200,7 @@ def load_run_config(
                 uni.get("trial", 0), "preferences.uniform.trial", 0, _SEED_LIMIT
             ),
         )
-        preferences = tuple(p.ranking for p in generate(agents, m, seed))
+        preferences = generate(agents, m, seed)
     else:
         raise InvalidConfig(
             "preferences: must be a list of rankings, {'uniform': ...}, or {'file': ...}"
@@ -230,7 +225,7 @@ def load_run_config(
             f"thresholds: must be a label map or the string {THRESHOLD_INIT_RULE!r}"
         )
 
-    options = options_from_dict(doc.get("engine", {}))
+    rule = rule_from_dict(doc.get("engine", {}))
     trace_out = doc.get("trace_out")
     if trace_out is not None and not isinstance(trace_out, str):
         raise InvalidConfig("trace_out: must be a path string")
@@ -241,7 +236,7 @@ def load_run_config(
         preferences=preferences,
         initial_thresholds=thresholds,
     )
-    return config, options, id_to_label, trace_out
+    return config, rule, id_to_label, trace_out
 
 
 def _label_rankings_to_ids(rankings, label_to_id) -> tuple[tuple[int, ...], ...]:

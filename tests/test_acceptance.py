@@ -86,10 +86,10 @@ def test_criterion_3_threshold_mass_conservation(audit_10k):
 
 
 def test_criterion_4_bundled_fixed_point_regression():
-    config, options, _, _ = load_run_config(
+    config, rule, _, _ = load_run_config(
         _resolve_config_path("bundled:nonterminating_cycle")
     )
-    trace = play(config, options)
+    trace = play(config, rule)
     assert trace.outcome == NonTerminating(at_stage=1)
     _report("ACCEPTANCE 4 bundled fixed-point fixture is non-terminating at stage 1: PASS")
 

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import votegame
+from votegame.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +20,14 @@ def test_readme_export_list_is_all():
     listed = re.findall(r"`(\w+)`", block)
     assert len(listed) == len(set(listed)), "README lists an export twice"
     assert sorted(listed) == sorted(votegame.__all__)
+
+
+def test_readme_cli_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [words for words in commands if words]
+    assert commands and all(words[0] == "votegame" for words in commands)
+    parser = build_parser()
+    for words in commands:
+        parser.parse_args(words[1:])

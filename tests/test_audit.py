@@ -18,7 +18,7 @@ def test_random_configs_satisfy_the_mass_condition():
         assert 1 <= len(config.weights) <= 16
         assert 2 <= len(config.alternatives) <= 12
         assert all(1 <= w <= 3 for w in config.weights)
-        assert guarantees_elimination(config.initial_thresholds, config.weight_map())
+        assert guarantees_elimination(config.initial_thresholds, config.weights)
 
 
 def test_audit_passes_on_the_real_engine():

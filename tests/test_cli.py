@@ -185,7 +185,14 @@ def test_audit_detects_injected_mutant(capsys):
 
 
 def test_audit_zero_trials_is_usage_error(capsys):
-    bad_flags = (["--trials", "0"], ["--max-agents", "0"], ["--max-alternatives", "1"])
+    above = str((1 << 64) + 1)
+    bad_flags = (
+        ["--trials", "0"],
+        ["--max-agents", "0"],
+        ["--max-alternatives", "1"],
+        ["--max-agents", above],
+        ["--max-alternatives", above],
+    )
     for flags in bad_flags:
         code = main(["audit", *flags])
         assert code == 1

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from votegame.core import (
     GameConfig,
     InvalidConfig,
-    PreferenceOrder,
     as_rational,
     eliminate,
     guarantees_elimination,
@@ -27,14 +26,14 @@ def even_thresholds(m, value):
 
 
 def test_sincere_choice_picks_top_live():
-    assert sincere_choice(PreferenceOrder((2, 3, 1)), {1, 2, 3}) == 2
-    assert sincere_choice(PreferenceOrder((2, 3, 1)), {1}) == 1
-    assert sincere_choice(PreferenceOrder((5, 1, 4, 2, 3)), {2, 3, 4}) == 4
+    assert sincere_choice((2, 3, 1), {1, 2, 3}) == 2
+    assert sincere_choice((2, 3, 1), {1}) == 1
+    assert sincere_choice((5, 1, 4, 2, 3), {2, 3, 4}) == 4
 
 
 def test_sincere_choice_rejects_empty_live():
     with pytest.raises(ValueError):
-        sincere_choice(PreferenceOrder((1, 2)), set())
+        sincere_choice((1, 2), set())
 
 
 @given(
@@ -42,7 +41,7 @@ def test_sincere_choice_rejects_empty_live():
     live=st.sets(st.integers(1, 6), min_size=1, max_size=6),
 )
 def test_sincere_choice_is_minimal_ranked_live(ranking, live):
-    choice = sincere_choice(PreferenceOrder(tuple(ranking)), live)
+    choice = sincere_choice(ranking, live)
     assert choice in live
     earlier = ranking[: ranking.index(choice)]
     assert not (set(earlier) & live)
@@ -52,15 +51,21 @@ def test_sincere_choice_is_minimal_ranked_live(ranking, live):
 
 
 def test_tally_examples():
-    ones = {1: 1, 2: 1, 3: 1}
-    assert tally({1: 1, 2: 2, 3: 3}, ones, {1, 2, 3}) == {1: 1, 2: 1, 3: 1}
-    assert tally({1: 1, 2: 1, 3: 1}, ones, {1, 2, 3}) == {1: 3, 2: 0, 3: 0}
-    assert tally({1: 1, 2: 1, 3: 2}, {1: 2, 2: 3, 3: 1}, {1, 2}) == {1: 5, 2: 1}
+    ones = (1, 1, 1)
+    assert tally([1, 2, 3], ones, {1, 2, 3}) == {1: 1, 2: 1, 3: 1}
+    assert tally([1, 1, 1], ones, {1, 2, 3}) == {1: 3, 2: 0, 3: 0}
+    assert tally([1, 1, 2], (2, 3, 1), {1, 2}) == {1: 5, 2: 1}
 
 
 def test_tally_rejects_vote_for_eliminated():
-    with pytest.raises(ValueError, match="non-live"):
-        tally({1: 3}, {1: 1}, {1, 2})
+    with pytest.raises(ValueError, match="agent 2 voted for non-live"):
+        tally([1, 3], (1, 1), {1, 2})
+
+
+@pytest.mark.parametrize("profile", [[1, 2], [1, 2, 1, 2]])
+def test_tally_rejects_profile_and_weights_of_different_lengths(profile):
+    with pytest.raises(ValueError):
+        tally(profile, (1, 1, 1), {1, 2})
 
 
 @given(
@@ -69,12 +74,8 @@ def test_tally_rejects_vote_for_eliminated():
 )
 def test_tally_conserves_total_weight(weights, data):
     live = {1, 2, 3, 4}
-    profile = {
-        agent: data.draw(st.sampled_from(sorted(live)))
-        for agent in range(1, len(weights) + 1)
-    }
-    wmap = {agent: w for agent, w in enumerate(weights, start=1)}
-    counts = tally(profile, wmap, live)
+    profile = [data.draw(st.sampled_from(sorted(live))) for _ in weights]
+    counts = tally(profile, weights, live)
     assert sum(counts.values()) == sum(weights)
     assert set(counts) == live
 
@@ -198,7 +199,7 @@ def test_update_conserves_threshold_mass(stage):
 
 
 def test_guarantee_condition_strict_inequality():
-    ones = {1: 1, 2: 1, 3: 1}
+    ones = (1, 1, 1)
     assert guarantees_elimination(even_thresholds(3, 2), ones)
     assert not guarantees_elimination(even_thresholds(3, 1), ones)
 
@@ -206,7 +207,7 @@ def test_guarantee_condition_strict_inequality():
 @pytest.mark.parametrize("n,m", [(2, 10), (3, 7), (512, 2560), (1, 2)])
 def test_guarantee_holds_for_doubled_vote_mass(n, m):
     thresholds = even_thresholds(m, F(2 * n, m))
-    weights = {a: 1 for a in range(1, n + 1)}
+    weights = (1,) * n
     assert threshold_total(thresholds) == 2 * n
     assert guarantees_elimination(thresholds, weights)
 
@@ -248,7 +249,9 @@ def test_config_accepts_and_normalizes():
     assert len(config.weights) == 3
     assert config.total_votes == 3
     assert config.initial_thresholds[1] == F(1)
-    assert isinstance(config.preferences[0], PreferenceOrder)
+    assert config.preferences[0] == (1, 2, 3)
+    lists = valid_config(preferences=[[1, 2, 3], [2, 3, 1], [3, 2, 1]])
+    assert lists.preferences == ((1, 2, 3), (2, 3, 1), (3, 2, 1))
     assert not config.trivial_all_eliminated
 
 
@@ -268,6 +271,7 @@ def test_config_flags_trivial_all_eliminated():
         (dict(initial_thresholds={1: 1, 2: 1}), "initial_thresholds"),
         (dict(initial_thresholds={1: 1, 2: 1, 3: -1}), "initial_thresholds"),
         (dict(alternatives=frozenset()), "alternatives"),
+        (dict(preferences=((1, 2, 3), (2, 3, 1), ())), "empty"),
     ],
 )
 def test_config_rejects_malformed(overrides, message):

@@ -93,7 +93,7 @@ def test_cell_matches_full_engine_on_materialized_preferences():
         config = GameConfig(
             weights=(1,) * n,
             alternatives=frozenset(range(1, m + 1)),
-            preferences=tuple(p.ranking for p in generate(n, m, seed)),
+            preferences=generate(n, m, seed),
             initial_thresholds={x: Fraction(2 * n, m) for x in range(1, m + 1)},
         )
         trace = play(config)

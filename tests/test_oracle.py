@@ -1,13 +1,13 @@
 """Engine vs naive transcription on exhaustively enumerated small games."""
 
 from fractions import Fraction
+from itertools import product
 
 from naive_engine import exhaustive_profiles, naive_game, threshold_grids
 
 from votegame.core import GameConfig
 from votegame.engine import (
     AllEliminated,
-    EngineOptions,
     NonTerminating,
     ThresholdRule,
     Winner,
@@ -24,39 +24,44 @@ def outcome_kind(outcome):
     return "non_terminating", None
 
 
-def compare_exhaustively(max_agents, max_alternatives):
-    """Compare per-stage survivor sets on every unit-weight profile."""
+def compare_exhaustively(max_agents, max_alternatives, weight_values=(1,)):
+    """Compare per-stage survivor sets on every profile and every weight
+    vector drawn from `weight_values`."""
     games = 0
     for m in range(2, max_alternatives + 1):
         for n in range(1, max_agents + 1):
-            weights = [1] * n
-            for thresholds in threshold_grids(m, n):
-                for profile in exhaustive_profiles(m, n):
-                    config = GameConfig(
-                        weights=tuple(weights),
-                        alternatives=frozenset(range(1, m + 1)),
-                        preferences=tuple(profile),
-                        initial_thresholds=dict(thresholds),
-                    )
-                    for rule in (ThresholdRule.UPDATING, ThresholdRule.STATIC):
-                        trace = play(config, EngineOptions(threshold_rule=rule))
-                        naive = naive_game(
-                            [list(p) for p in profile],
-                            weights,
-                            {x: Fraction(f) for x, f in thresholds.items()},
-                            rule.value,
+            for weights in product(weight_values, repeat=n):
+                for thresholds in threshold_grids(m, n):
+                    for profile in exhaustive_profiles(m, n):
+                        config = GameConfig(
+                            weights=weights,
+                            alternatives=frozenset(range(1, m + 1)),
+                            preferences=profile,
+                            initial_thresholds=dict(thresholds),
                         )
-                        engine_sets = [set(s.survivors) for s in trace.stages]
-                        naive_sets, naive_kind, naive_winner = naive
-                        assert engine_sets == naive_sets, (m, n, profile, thresholds)
-                        kind, winner = outcome_kind(trace.outcome)
-                        assert kind == naive_kind, (m, n, profile, thresholds)
-                        assert winner == naive_winner, (m, n, profile, thresholds)
-                        games += 1
+                        for rule in (ThresholdRule.UPDATING, ThresholdRule.STATIC):
+                            trace = play(config, rule)
+                            naive = naive_game(
+                                [list(p) for p in profile],
+                                weights,
+                                {x: Fraction(f) for x, f in thresholds.items()},
+                                rule.value,
+                            )
+                            engine_sets = [set(s.survivors) for s in trace.stages]
+                            naive_sets, naive_kind, naive_winner = naive
+                            case = (m, weights, profile, thresholds)
+                            assert engine_sets == naive_sets, case
+                            kind, winner = outcome_kind(trace.outcome)
+                            assert kind == naive_kind, case
+                            assert winner == naive_winner, case
+                            games += 1
     return games
 
 
 def test_small_exhaustive_agreement():
-    # the full n<=3, m<=3 sweep lives in the acceptance suite; this keeps a
-    # quick line of defense in the unit tier
-    assert compare_exhaustively(max_agents=2, max_alternatives=3) > 0
+    # unequal weights catch an engine that pairs a vote with the wrong
+    # agent's weight, which unit weights (and criterion 8) cannot see
+    games = compare_exhaustively(
+        max_agents=3, max_alternatives=3, weight_values=(1, 2)
+    )
+    assert games == 23_616

@@ -3,14 +3,14 @@ from collections import Counter
 
 import pytest
 
-from votegame.core import InvalidConfig, PreferenceOrder
+from votegame.core import InvalidConfig
 from votegame.prefs import Seed, generate, incremental_rankings
 from votegame.serialize import load_run_config
 
 
 def test_single_alternative_profile():
     out = generate(4, 1, Seed(99))
-    assert out == [PreferenceOrder((1,))] * 4
+    assert out == [(1,)] * 4
 
 
 def test_seed_determinism():
@@ -42,7 +42,7 @@ def test_uniform_frequencies_over_sixty_thousand_draws():
     counts = Counter()
     for trial in range(20_000):
         for p in generate(3, 3, Seed(314159, trial)):
-            counts[p.ranking] += 1
+            counts[p] += 1
     assert len(counts) == 6
     total = sum(counts.values())
     assert total == 60_000
@@ -54,8 +54,7 @@ def test_incremental_rankings_match_generate():
     seed = Seed(2024, 17)
     eager = generate(6, 9, seed)
     lazy = incremental_rankings(6, 9, seed)
-    for ranking, order in zip(lazy, eager, strict=True):
-        full = order.ranking
+    for ranking, full in zip(lazy, eager, strict=True):
         assert [ranking.first_in(set(full[i:])) for i in range(9)] == list(full)
 
 
@@ -84,7 +83,7 @@ def load_with_profile(tmp_path, profile):
 
 def test_read_profile_file(tmp_path):
     config = load_with_profile(tmp_path, [["a", "b"], ["b", "a"]])
-    assert [p.ranking for p in config.preferences] == [(1, 2), (2, 1)]
+    assert config.preferences == ((1, 2), (2, 1))
 
 
 @pytest.mark.parametrize(

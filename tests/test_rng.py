@@ -53,8 +53,11 @@ def test_below_range_and_errors():
     for bound in (2, 3, 10, 1000):
         for _ in range(200):
             assert 0 <= gen.below(bound) < bound
-    with pytest.raises(ValueError):
-        gen.below(0)
+    assert 0 <= gen.below(1 << 64) < 1 << 64
+    # above 2^64 no 64-bit draw could be accepted, so below would spin forever
+    for bound in (0, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            gen.below(bound)
 
 
 def test_below_is_roughly_uniform():

@@ -8,7 +8,6 @@ from votegame.cli import main
 from votegame.core import GameConfig
 from votegame.engine import (
     AllEliminated,
-    EngineOptions,
     NonTerminating,
     ThresholdRule,
     Winner,
@@ -17,9 +16,8 @@ from votegame.engine import (
 from votegame.serialize import (
     config_to_dict,
     dumps,
-    options_from_dict,
-    options_to_dict,
     outcome_to_dict,
+    rule_from_dict,
     trace_to_dict,
 )
 
@@ -45,10 +43,10 @@ def test_config_round_trip():
 
 
 def test_options_round_trip():
-    options = EngineOptions(threshold_rule=ThresholdRule.STATIC)
-    assert options_to_dict(options) == {"threshold_rule": "static"}
-    assert options_from_dict(options_to_dict(options)) == options
-    assert options_from_dict({}) == EngineOptions()
+    trace = play(sample_config(), ThresholdRule.STATIC)
+    assert trace_to_dict(trace)["options"] == {"threshold_rule": "static"}
+    assert rule_from_dict({"threshold_rule": "static"}) is ThresholdRule.STATIC
+    assert rule_from_dict({}) is ThresholdRule.UPDATING
 
 
 # the writer half only: traces are written, never read back
