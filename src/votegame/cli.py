@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success, 1 usage or config error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
@@ -17,6 +16,7 @@ from . import audit as audit_mod
 from . import experiments, serialize
 from .core import InvalidConfig
 from .engine import AllEliminated, NonTerminating, Winner, play
+from .experiments import DEFAULT_AGENT_GRID, DEFAULT_ALTERNATIVE_GRID
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +90,7 @@ def _trend_line(result) -> str:
     else:
         head = f"column n={result.fixed}"
         peak = f"m={result.peak_key}"
-    if not result.unimodal:
+    if not result.feasible_peaks:
         return f"{head}: not unimodal within tolerance"
     if result.rise_then_fall:
         return f"{head}: rise-then-fall, peak at {peak}"
@@ -101,10 +101,10 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    spec = serialize.read_sweep_spec(args.spec)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, master_seed=serialize.default_seed(args.seed))
-    report = experiments.run_sweep(spec, jobs=args.jobs)
+    spec = serialize.read_sweep_spec(args.spec, args.seed)
+    report = experiments.run_cells(
+        spec.cells(), spec.trials, spec.master_seed, spec.length_convention, args.jobs
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid_path = out_dir / "grid.csv"
@@ -120,17 +120,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    # the audit draws its sizes with rng.below, whose bound is at most 2^64
+    # game sizes are capped at the paper's largest grid sizes, so a game's
+    # weights and rankings always fit in memory
     for flag, value, low, high in (
         ("--trials", args.trials, 1, None),
-        ("--max-agents", args.max_agents, 1, 1 << 64),
-        ("--max-alternatives", args.max_alternatives, 2, 1 << 64),
+        ("--max-agents", args.max_agents, 1, max(DEFAULT_AGENT_GRID)),
+        ("--max-alternatives", args.max_alternatives, 2, max(DEFAULT_ALTERNATIVE_GRID)),
     ):
         if value < low:
             print(f"error: {flag} must be at least {low}", file=sys.stderr)
             return EXIT_USAGE
         if high is not None and value > high:
-            print(f"error: {flag} must be at most 2^64", file=sys.stderr)
+            print(f"error: {flag} must be at most {high}", file=sys.stderr)
             return EXIT_USAGE
     override = audit_mod.off_by_one_elimination if args.inject_off_by_one else None
     report = audit_mod.run_audit(

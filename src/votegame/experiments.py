@@ -39,6 +39,12 @@ DEFAULT_ALTERNATIVE_GRID = (10, 20, 40, 80, 160, 320, 640, 1280, 2560)
 
 THRESHOLD_INIT_RULE = "2n/m"  # the only supported initialization
 
+# A trend survives moving each cell mean by this many standard errors.
+TREND_TOLERANCE_SE = 2.0
+
+# The small-agent cells whose lengths decide the counting convention.
+CALIBRATION_CELLS = ((10, 2), (10, 4), (10, 8))
+
 # Published reference grid of average game lengths (100 trials per cell,
 # alternatives x agents) that this harness reproduces.  The small-agent
 # corner is known not to match any engine counting convention exactly; see
@@ -227,17 +233,6 @@ def run_cells(
     )
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
-    """Run the full rectangular sweep described by a spec."""
-    return run_cells(
-        spec.cells(),
-        trials=spec.trials,
-        master_seed=spec.master_seed,
-        length_convention=spec.length_convention,
-        jobs=jobs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Trend analysis
 
@@ -273,23 +268,14 @@ class TrendResult:
     fixed: int
     keys: tuple[int, ...]
     means: tuple[float, ...]
-    tolerances: tuple[float, ...]
     feasible_peaks: tuple[int, ...]
-
-    @property
-    def unimodal(self) -> bool:
-        return bool(self.feasible_peaks)
-
-    @property
-    def interior_peak(self) -> bool:
-        last = len(self.keys) - 1
-        return any(0 < p < last for p in self.feasible_peaks)
 
     @property
     def rise_then_fall(self) -> bool:
         """Unimodal with a peak strictly inside the range; a peak available
         only at a boundary is not a rise-then-fall confirmation."""
-        return self.unimodal and self.interior_peak
+        last = len(self.keys) - 1
+        return any(0 < p < last for p in self.feasible_peaks)
 
     @property
     def peak_key(self) -> Optional[int]:
@@ -313,136 +299,65 @@ def _trend_for(
     report: ExperimentReport,
     axis: str,
     fixed: int,
-    keys: Sequence[int],
     cells: Sequence[tuple[int, int]],
-    tolerance_se: float,
 ) -> TrendResult:
     convention = report.length_convention
     means = tuple(float(report.cells[c].mean_length(convention)) for c in cells)
     tolerances = tuple(
-        tolerance_se * report.cells[c].std_error() for c in cells
+        TREND_TOLERANCE_SE * report.cells[c].std_error() for c in cells
     )
     return TrendResult(
         axis=axis,
         fixed=fixed,
-        keys=tuple(keys),
+        keys=tuple(n if axis == "agents" else m for m, n in cells),
         means=means,
-        tolerances=tolerances,
         feasible_peaks=_feasible_peaks(means, tolerances),
     )
 
 
-def trend_check(
-    report: ExperimentReport,
-    rows: Optional[Sequence[int]] = None,
-    columns: Optional[Sequence[int]] = None,
-    tolerance_se: float = 2.0,
-) -> TrendReport:
+def trend_check(report: ExperimentReport) -> TrendReport:
     """Check the two expected shape properties of the length surface.
 
     Rows: at fixed alternative count, mean length over increasing agent
     count should rise to a peak and then fall.  Columns: at fixed agent
     count, the same should hold as the alternative count decreases.  A
     sequence passes if it can be made non-decreasing-then-non-increasing by
-    moving each mean at most `tolerance_se` standard errors.
+    moving each mean at most `TREND_TOLERANCE_SE` standard errors.
     """
-    if rows is None:
-        rows = report.alternative_counts()
-    if columns is None:
-        columns = report.agent_counts()
-    row_results = []
-    for m in rows:
-        ns = sorted(n for mm, n in report.cells if mm == m)
-        row_results.append(
-            _trend_for(report, "agents", m, ns, [(m, n) for n in ns], tolerance_se)
-        )
-    col_results = []
-    for n in columns:
-        ms = sorted((m for m, nn in report.cells if nn == n), reverse=True)
-        col_results.append(
-            _trend_for(
-                report, "alternatives", n, ms, [(m, n) for m in ms], tolerance_se
-            )
-        )
-    return TrendReport(rows=tuple(row_results), columns=tuple(col_results))
+    cells = sorted(report.cells)
+    rows = tuple(
+        _trend_for(report, "agents", m, [c for c in cells if c[0] == m])
+        for m in report.alternative_counts()
+    )
+    columns = tuple(
+        _trend_for(report, "alternatives", n, [c for c in cells[::-1] if c[1] == n])
+        for n in report.agent_counts()
+    )
+    return TrendReport(rows=rows, columns=columns)
 
 
 # ---------------------------------------------------------------------------
 # Length-convention calibration
 
 
-@dataclass(frozen=True)
-class CellCalibration:
-    alternatives: int
-    agents: int
-    reference: float
-    mean_rounds_played: Fraction
-    mean_rounds_plus_final: Fraction
+def calibrate_convention(report: ExperimentReport) -> LengthConvention:
+    """The length convention whose cell means lie closer to the reference
+    values, summed over the report's cells; a tie goes to rounds_plus_final.
 
-    @property
-    def gap_rounds_played(self) -> float:
-        return abs(float(self.mean_rounds_played) - self.reference)
-
-    @property
-    def gap_rounds_plus_final(self) -> float:
-        return abs(float(self.mean_rounds_plus_final) - self.reference)
-
-
-@dataclass(frozen=True)
-class ConventionReport:
-    trials: int
-    master_seed: int
-    cells: tuple[CellCalibration, ...]
-
-    @property
-    def total_gap_rounds_played(self) -> float:
-        return sum(c.gap_rounds_played for c in self.cells)
-
-    @property
-    def total_gap_rounds_plus_final(self) -> float:
-        return sum(c.gap_rounds_plus_final for c in self.cells)
-
-    @property
-    def recommended(self) -> LengthConvention:
-        if self.total_gap_rounds_plus_final <= self.total_gap_rounds_played:
-            return LengthConvention.ROUNDS_PLUS_FINAL
-        return LengthConvention.ROUNDS_PLAYED
-
-
-def calibrate_convention(
-    trials: int = 10_000,
-    master_seed: int = 0,
-    cells: Sequence[tuple[int, int]] = ((10, 2), (10, 4), (10, 8)),
-    jobs: int = 1,
-) -> ConventionReport:
-    """Measure small cells under both length conventions against references.
-
-    Reports each cell's mean and its absolute deviation from the reference
-    value under each convention, and recommends the convention with the
-    smaller total deviation.  The recommendation is empirical, not a claim
-    about how the reference study counted.
+    Callers pass `run_cells(CALIBRATION_CELLS, trials, master_seed)`.  The
+    recommendation is empirical, not a claim about how the reference study
+    counted.
     """
-    for cell in cells:
+    gaps = dict.fromkeys(LengthConvention, 0.0)
+    for cell, result in report.cells.items():
         if cell not in REFERENCE_AVG_LENGTHS:
             raise ValueError(f"no reference value for cell {cell}")
-    report = run_cells(cells, trials, master_seed, jobs=jobs)
-    calibrations = []
-    for m, n in cells:
-        res = report.cells[(m, n)]
-        calibrations.append(
-            CellCalibration(
-                alternatives=m,
-                agents=n,
-                reference=REFERENCE_AVG_LENGTHS[(m, n)],
-                mean_rounds_played=res.mean_length(LengthConvention.ROUNDS_PLAYED),
-                mean_rounds_plus_final=res.mean_length(
-                    LengthConvention.ROUNDS_PLUS_FINAL
-                ),
-            )
-        )
-    return ConventionReport(
-        trials=trials, master_seed=master_seed, cells=tuple(calibrations)
-    )
+        for convention in gaps:
+            mean = float(result.mean_length(convention))
+            gaps[convention] += abs(mean - REFERENCE_AVG_LENGTHS[cell])
+    if gaps[LengthConvention.ROUNDS_PLUS_FINAL] <= gaps[LengthConvention.ROUNDS_PLAYED]:
+        return LengthConvention.ROUNDS_PLUS_FINAL
+    return LengthConvention.ROUNDS_PLAYED
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,10 @@ def _integer(value: Any, where: str, low: int, high: Optional[int] = None) -> in
 
 def default_seed(flag_value: Optional[int], file_value: Any = None) -> int:
     """The master seed rule of every command: the --seed flag, else the
-    file's master_seed, else $VOTEGAME_SEED, else 0."""
+    file's master_seed, else $VOTEGAME_SEED, else 0.  A malformed file
+    seed is an error even when the flag wins."""
+    if file_value is not None:
+        _integer(file_value, "master_seed", 0, _SEED_LIMIT)
     seed = flag_value if flag_value is not None else file_value
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
@@ -262,7 +265,7 @@ def _integers(doc: Mapping[str, Any], key: str, default, low: int) -> tuple[int,
     return tuple(_integer(v, key, low) for v in values)
 
 
-def sweep_spec_from_dict(doc: Any) -> SweepSpec:
+def sweep_spec_from_dict(doc: Any, seed_override: Optional[int] = None) -> SweepSpec:
     _require_keys(
         doc,
         {
@@ -287,10 +290,10 @@ def sweep_spec_from_dict(doc: Any) -> SweepSpec:
         ),
         agent_counts=_integers(doc, "agent_counts", defaults.agent_counts, 1),
         trials=_integer(doc.get("trials", defaults.trials), "trials", 1),
-        master_seed=default_seed(None, doc.get("master_seed")),
+        master_seed=default_seed(seed_override, doc.get("master_seed")),
         length_convention=convention,
     )
 
 
-def read_sweep_spec(path: str | Path) -> SweepSpec:
-    return sweep_spec_from_dict(_read_json(path, "sweep spec file"))
+def read_sweep_spec(path: str | Path, seed_override: Optional[int] = None) -> SweepSpec:
+    return sweep_spec_from_dict(_read_json(path, "sweep spec file"), seed_override)

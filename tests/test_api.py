@@ -22,6 +22,16 @@ def test_readme_export_list_is_all():
     assert sorted(listed) == sorted(votegame.__all__)
 
 
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    *body, last = block.strip().splitlines()
+    expression, expected = (part.strip() for part in last.split("#", 1))
+    namespace = {}
+    exec("\n".join(body), namespace)
+    assert repr(eval(expression, namespace)) == expected
+
+
 def test_readme_cli_commands_parse():
     text = README.read_text(encoding="utf-8")
     block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]

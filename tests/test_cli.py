@@ -158,6 +158,29 @@ def test_sweep_writes_grid_and_report(tmp_path, capsys):
     assert "column n=2" in printed
 
 
+GOLDEN_SWEEP = Path(__file__).parent / "golden" / "sweep"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_matches_golden_files(tmp_path, capsys, jobs):
+    # this grid prints all three trend-line kinds: rise-then-fall, peak at
+    # boundary and not unimodal
+    doc = {
+        "alternative_counts": [10, 20, 40],
+        "agent_counts": [2, 8, 32, 128],
+        "trials": 40,
+        "master_seed": 25,
+        "length_convention": "rounds_plus_final",
+    }
+    spec = write_json(tmp_path / "spec.json", doc)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", spec, "--out-dir", str(out_dir), "--jobs", jobs]) == 0
+    stdout = capsys.readouterr().out.replace(str(out_dir), "<out-dir>")
+    assert stdout == (GOLDEN_SWEEP / "stdout.txt").read_text(encoding="utf-8")
+    for name in ("grid.csv", "report.json"):
+        assert (out_dir / name).read_bytes() == (GOLDEN_SWEEP / name).read_bytes()
+
+
 def test_sweep_rejects_bad_spec(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", {"trials": 0})
     code = main(["sweep", spec, "--out-dir", str(tmp_path / "o")])
@@ -192,6 +215,8 @@ def test_audit_zero_trials_is_usage_error(capsys):
         ["--max-alternatives", "1"],
         ["--max-agents", above],
         ["--max-alternatives", above],
+        ["--max-agents", "513", "--trials", "1"],
+        ["--max-alternatives", "2561", "--trials", "1"],
     )
     for flags in bad_flags:
         code = main(["audit", *flags])
@@ -239,6 +264,21 @@ def test_sweep_honors_seed_env_var(tmp_path, capsys, monkeypatch):
     # the flag still wins over the environment
     assert main(["sweep", spec, "--out-dir", str(tmp_path / "f"), "--seed", "6"]) == 0
     assert json.loads((tmp_path / "f" / "report.json").read_text())["master_seed"] == 6
+    # ... before the environment is even read
+    monkeypatch.setenv("VOTEGAME_SEED", "abc")
+    assert main(["sweep", spec, "--out-dir", str(tmp_path / "g"), "--seed", "6"]) == 0
+    assert json.loads((tmp_path / "g" / "report.json").read_text())["master_seed"] == 6
+
+
+def test_malformed_file_seed_is_an_error_despite_the_flag(tmp_path, capsys):
+    play_doc = uniform_config_doc(
+        preferences={"uniform": {"agents": 3, "master_seed": -1}}
+    )
+    config = write_json(tmp_path / "game.json", play_doc)
+    assert_clean_rejection(["play", config, "--seed", "5"], capsys, "got -1")
+    spec = write_json(tmp_path / "spec.json", {**sweep_spec_doc(), "master_seed": -1})
+    argv = ["sweep", spec, "--out-dir", str(tmp_path / "out"), "--seed", "5"]
+    assert_clean_rejection(argv, capsys, "got -1")
 
 
 TWO_STAGE_RANKINGS = [["a", "b", "c", "d"]] * 2 + [["b", "a", "c", "d"]] * 2

@@ -7,6 +7,7 @@ from votegame import experiments
 from votegame.core import GameConfig
 from votegame.engine import LengthConvention, NonTerminating, Winner, play
 from votegame.experiments import (
+    CALIBRATION_CELLS,
     DEFAULT_AGENT_GRID,
     DEFAULT_ALTERNATIVE_GRID,
     REFERENCE_AVG_LENGTHS,
@@ -17,7 +18,6 @@ from votegame.experiments import (
     grid_csv,
     report_to_dict,
     run_cells,
-    run_sweep,
     trend_check,
 )
 from votegame.prefs import Seed, generate
@@ -146,11 +146,11 @@ def test_report_rates_and_exact_means():
     assert mean_rp == Fraction(cell.rounds_total, 50)
 
 
-def test_run_sweep_covers_the_grid():
+def test_spec_cells_cover_the_grid():
     spec = SweepSpec(
         alternative_counts=(10, 20), agent_counts=(2, 4), trials=5, master_seed=2
     )
-    report = run_sweep(spec)
+    report = run_cells(spec.cells(), spec.trials, spec.master_seed)
     assert set(report.cells) == {(10, 2), (10, 4), (20, 2), (20, 4)}
 
 
@@ -222,18 +222,13 @@ def test_trend_check_rows_and_columns():
 # --- convention calibration -------------------------------------------------
 
 
-def test_calibrate_convention_reports_both_gaps():
-    report = calibrate_convention(trials=300, master_seed=11)
-    assert len(report.cells) == 3
-    for cell in report.cells:
-        assert cell.gap_rounds_played >= 0
-        assert cell.gap_rounds_plus_final >= 0
-        assert cell.mean_rounds_plus_final == cell.mean_rounds_played + 1
+def test_calibrate_convention_recommends_rounds_plus_final():
+    report = run_cells(CALIBRATION_CELLS, trials=300, master_seed=11)
     # small-agent games here end in exactly two rounds, so adding a terminal
     # round lands on the reference plateau while rounds-played sits 1 below
-    assert report.recommended is LengthConvention.ROUNDS_PLUS_FINAL
+    assert calibrate_convention(report) is LengthConvention.ROUNDS_PLUS_FINAL
 
 
 def test_calibrate_convention_rejects_unknown_cell():
     with pytest.raises(ValueError):
-        calibrate_convention(trials=10, cells=[(11, 2)])
+        calibrate_convention(run_cells([(11, 2)], trials=10, master_seed=0))
