@@ -1,13 +1,8 @@
 """Randomized self-audit of the engine's termination guarantees.
 
 Plays thousands of random games whose initial threshold mass strictly
-exceeds the total vote weight and verifies, with zero tolerance:
-
-  * every stage where that condition held eliminated at least one
-    alternative;
-  * no game ran longer than (initial alternatives - 1) stages;
-  * under the updating rule, survivor threshold mass after each stage equals
-    the pre-update total, bit-exactly.
+exceeds the total vote weight and certifies each one with
+``engine.audit_elimination_guarantee``, with zero tolerance.
 
 Configs cover random sizes, weights 1..3, random rational thresholds
 (rejection-sampled so the mass condition holds), and both threshold rules.
@@ -77,7 +72,7 @@ def random_guaranteed_config(
             # puts the mass condition near a coin flip per attempt
             numer = rng.below(2 * total_votes * denom // m + 2)
             thresholds[x] = Fraction(numer, denom)
-        if sum(thresholds.values(), Fraction(0)) > total_votes:
+        if core.guarantees_elimination(thresholds, weights):
             return GameConfig(weights, frozenset(range(1, m + 1)), preferences, thresholds)
     raise RuntimeError("threshold rejection sampling failed to converge")
 
@@ -97,11 +92,6 @@ def run_audit(
     stages_checked = 0
     condition_stages = 0
     updating_games = 0
-
-    def record(game: int, stage: int, kind: str, detail: str) -> None:
-        if len(violations) < max_reported:
-            violations.append(AuditViolation(game, stage, kind, detail))
-
     for i in range(trials):
         rng = Xoshiro256StarStar(mix64(_AUDIT_STREAM_TAG, master_seed, i))
         config = random_guaranteed_config(rng, max_agents, max_alternatives)
@@ -111,44 +101,15 @@ def run_audit(
             # rejects below-threshold "survivors" outright, which would stop
             # a doctored game before the certificate ever saw it
             rule = ThresholdRule.STATIC
+        if rule is ThresholdRule.UPDATING:
+            updating_games += 1
         trace = engine.play(config, rule, elimination_override)
 
         certificate = engine.audit_elimination_guarantee(trace)
-        stages_checked += len(certificate.stages)
-        for cert in certificate.stages:
-            if cert.condition_held:
-                condition_stages += 1
-            if not cert.ok:
-                record(
-                    i,
-                    cert.stage,
-                    "no_elimination",
-                    "guarantee condition held but nothing was eliminated",
-                )
-
-        bound = len(config.alternatives) - 1
-        if trace.rounds_played > bound:
-            record(
-                i,
-                trace.rounds_played,
-                "length_bound",
-                f"{trace.rounds_played} stages played, bound is {bound}",
-            )
-
-        if rule is ThresholdRule.UPDATING:
-            updating_games += 1
-            for s in trace.stages:
-                if not s.thresholds_after:
-                    continue  # nothing survived; no update was applied
-                before = core.threshold_total(s.thresholds_before)
-                after = core.threshold_total(s.thresholds_after)
-                if before != after:
-                    record(
-                        i,
-                        s.stage,
-                        "mass_not_conserved",
-                        f"threshold mass {before} became {after}",
-                    )
+        stages_checked += certificate.stages_checked
+        condition_stages += certificate.condition_stages
+        for v in certificate.violations[: max(0, max_reported - len(violations))]:
+            violations.append(AuditViolation(i, v.stage, v.kind, v.detail))
 
     return AuditReport(
         games=trials,

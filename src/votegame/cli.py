@@ -102,11 +102,10 @@ def cmd_sweep(args) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     spec = serialize.read_sweep_spec(args.spec, args.seed)
-    report = experiments.run_cells(
-        spec.cells(), spec.trials, spec.master_seed, spec.length_convention, args.jobs
-    )
     out_dir = Path(args.out_dir)
+    # before the cells run, so an unusable out-dir fails at once
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = experiments.run_cells(**spec, jobs=args.jobs)
     grid_path = out_dir / "grid.csv"
     report_path = out_dir / "report.json"
     experiments.write_grid_csv(report, grid_path)

@@ -172,36 +172,62 @@ def play(
 
 
 @dataclass(frozen=True)
-class StageCertificate:
+class Violation:
     stage: int
-    condition_held: bool   # threshold mass strictly exceeded total vote weight
-    eliminated_count: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.condition_held or self.eliminated_count >= 1
+    kind: str  # "no_elimination" | "length_bound" | "mass_not_conserved"
+    detail: str
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Stage-by-stage audit: a held elimination guarantee must eliminate."""
+    """Every guarantee a played game must keep, checked stage by stage."""
 
-    stages: tuple[StageCertificate, ...]
+    stages_checked: int
+    condition_stages: int  # stages at which the elimination guarantee applied
+    violations: tuple[Violation, ...]
 
     @property
     def passed(self) -> bool:
-        return all(s.ok for s in self.stages)
+        return not self.violations
 
 
 def audit_elimination_guarantee(trace: GameTrace) -> CertificateReport:
-    """Check every stage where total thresholds exceeded total votes.
+    """Check a trace's guarantees with zero tolerance:
 
-    Whenever the guarantee condition held at a stage, at least one
-    alternative must have been eliminated there; this report proves it for a
-    given trace (or pinpoints the first stage where it failed).
+      * every stage where total thresholds exceeded total votes eliminated
+        at least one alternative;
+      * the game ran at most (initial alternatives - 1) stages;
+      * under the updating rule, survivor threshold mass after each stage
+        equals the pre-update total, bit-exactly.
     """
-    certs = []
+    violations = []
+    condition_stages = 0
     for s in trace.stages:
-        held = core.guarantees_elimination(s.thresholds_before, trace.config.weights)
-        certs.append(StageCertificate(s.stage, held, len(s.eliminated)))
-    return CertificateReport(tuple(certs))
+        if core.guarantees_elimination(s.thresholds_before, trace.config.weights):
+            condition_stages += 1
+            if not s.eliminated:
+                violations.append(Violation(
+                    s.stage,
+                    "no_elimination",
+                    "guarantee condition held but nothing was eliminated",
+                ))
+    bound = len(trace.config.alternatives) - 1
+    if trace.rounds_played > bound:
+        violations.append(Violation(
+            trace.rounds_played,
+            "length_bound",
+            f"{trace.rounds_played} stages played, bound is {bound}",
+        ))
+    if trace.rule is ThresholdRule.UPDATING:
+        for s in trace.stages:
+            if not s.thresholds_after:
+                continue  # nothing survived; no update was applied
+            before = core.threshold_total(s.thresholds_before)
+            after = core.threshold_total(s.thresholds_after)
+            if before != after:
+                violations.append(Violation(
+                    s.stage,
+                    "mass_not_conserved",
+                    f"threshold mass {before} became {after}",
+                ))
+    return CertificateReport(len(trace.stages), condition_stages, tuple(violations))

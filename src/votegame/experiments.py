@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
-from .core import InvalidConfig
 from .engine import (
     LengthConvention,
     NonTerminating,
@@ -65,34 +64,6 @@ REFERENCE_AVG_LENGTHS: dict[tuple[int, int], float] = {
     for m, row in _REFERENCE_ROWS.items()
     for n, value in zip(DEFAULT_AGENT_GRID, row)
 }
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    alternative_counts: tuple[int, ...] = DEFAULT_ALTERNATIVE_GRID
-    agent_counts: tuple[int, ...] = DEFAULT_AGENT_GRID
-    trials: int = 100
-    master_seed: int = 0
-    length_convention: LengthConvention = LengthConvention.ROUNDS_PLAYED
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "alternative_counts", tuple(self.alternative_counts)
-        )
-        object.__setattr__(self, "agent_counts", tuple(self.agent_counts))
-        if self.trials < 1:
-            raise InvalidConfig("trials must be at least 1")
-        if not self.alternative_counts or not self.agent_counts:
-            raise InvalidConfig("both grid axes must be nonempty")
-        if any(m < 2 for m in self.alternative_counts):
-            raise InvalidConfig("alternative counts must be at least 2")
-        if any(n < 1 for n in self.agent_counts):
-            raise InvalidConfig("agent counts must be at least 1")
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [
-            (m, n) for m in self.alternative_counts for n in self.agent_counts
-        ]
 
 
 @dataclass(frozen=True)

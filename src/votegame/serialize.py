@@ -30,12 +30,20 @@ from .engine import (
     ThresholdRule,
     Winner,
 )
-from .experiments import THRESHOLD_INIT_RULE, SweepSpec
+from .experiments import (
+    DEFAULT_AGENT_GRID,
+    DEFAULT_ALTERNATIVE_GRID,
+    THRESHOLD_INIT_RULE,
+)
 from .prefs import Seed, generate
 
 TRACE_FORMAT = "votegame-trace-v2"
 SEED_ENV_VAR = "VOTEGAME_SEED"
 _SEED_LIMIT = 1 << 64
+# game sizes stop at the paper's largest grid sizes, so a game always fits
+# in memory
+_AGENT_LIMIT = max(DEFAULT_AGENT_GRID) + 1
+_ALTERNATIVE_LIMIT = max(DEFAULT_ALTERNATIVE_GRID) + 1
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -196,7 +204,9 @@ def load_run_config(
         _require_keys(
             uni, {"agents", "master_seed", "trial"}, "preferences.uniform"
         )
-        agents = _integer(uni.get("agents"), "preferences.uniform.agents", 1)
+        agents = _integer(
+            uni.get("agents"), "preferences.uniform.agents", 1, _AGENT_LIMIT
+        )
         seed = Seed(
             default_seed(seed_override, uni.get("master_seed")),
             _integer(
@@ -258,14 +268,19 @@ def _label_rankings_to_ids(rankings, label_to_id) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
-def _integers(doc: Mapping[str, Any], key: str, default, low: int) -> tuple[int, ...]:
+def _integers(
+    doc: Mapping[str, Any], key: str, default, low: int, high: int
+) -> tuple[int, ...]:
     values = doc.get(key, default)
     if not isinstance(values, (list, tuple)):
         raise InvalidConfig(f"{key}: must be a list of integers")
-    return tuple(_integer(v, key, low) for v in values)
+    return tuple(_integer(v, key, low, high) for v in values)
 
 
-def sweep_spec_from_dict(doc: Any, seed_override: Optional[int] = None) -> SweepSpec:
+def sweep_spec_from_dict(
+    doc: Any, seed_override: Optional[int] = None
+) -> dict[str, Any]:
+    """The keyword arguments of ``experiments.run_cells`` for a sweep spec."""
     _require_keys(
         doc,
         {
@@ -277,23 +292,26 @@ def sweep_spec_from_dict(doc: Any, seed_override: Optional[int] = None) -> Sweep
         },
         "sweep spec",
     )
-    defaults = SweepSpec()
     try:
-        convention = LengthConvention(
-            doc.get("length_convention", defaults.length_convention.value)
-        )
+        convention = LengthConvention(doc.get("length_convention", "rounds_played"))
     except ValueError as exc:
         raise InvalidConfig(f"length_convention: {exc}") from exc
-    return SweepSpec(
-        alternative_counts=_integers(
-            doc, "alternative_counts", defaults.alternative_counts, 2
-        ),
-        agent_counts=_integers(doc, "agent_counts", defaults.agent_counts, 1),
-        trials=_integer(doc.get("trials", defaults.trials), "trials", 1),
-        master_seed=default_seed(seed_override, doc.get("master_seed")),
-        length_convention=convention,
+    alternative_counts = _integers(
+        doc, "alternative_counts", DEFAULT_ALTERNATIVE_GRID, 2, _ALTERNATIVE_LIMIT
     )
+    agent_counts = _integers(doc, "agent_counts", DEFAULT_AGENT_GRID, 1, _AGENT_LIMIT)
+    spec = {
+        "cells": [(m, n) for m in alternative_counts for n in agent_counts],
+        "trials": _integer(doc.get("trials", 100), "trials", 1),
+        "master_seed": default_seed(seed_override, doc.get("master_seed")),
+        "length_convention": convention,
+    }
+    if not spec["cells"]:
+        raise InvalidConfig("both grid axes must be nonempty")
+    return spec
 
 
-def read_sweep_spec(path: str | Path, seed_override: Optional[int] = None) -> SweepSpec:
+def read_sweep_spec(
+    path: str | Path, seed_override: Optional[int] = None
+) -> dict[str, Any]:
     return sweep_spec_from_dict(_read_json(path, "sweep spec file"), seed_override)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from votegame import experiments
 from votegame.cli import main
 
 
@@ -187,6 +188,18 @@ def test_sweep_rejects_bad_spec(tmp_path, capsys):
     assert code == 1
 
 
+def test_sweep_checks_out_dir_before_running_cells(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        experiments, "run_cells", lambda *args, **kwargs: calls.append(args)
+    )
+    spec = write_json(tmp_path / "spec.json", sweep_spec_doc())
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    assert_clean_rejection(["sweep", spec, "--out-dir", str(out_file)], capsys)
+    assert calls == []
+
+
 def test_sweep_jobs_validation(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", sweep_spec_doc())
     code = main(["sweep", spec, "--out-dir", str(tmp_path / "o"), "--jobs", "0"])
@@ -338,6 +351,12 @@ def test_play_rejects_malformed_profile_file(tmp_path, capsys, profile, message)
         ("sweep", {**sweep_spec_doc(), "trials": "5"}),
         ("sweep", {**sweep_spec_doc(), "alternative_counts": [10.5]}),
         ("sweep", {**sweep_spec_doc(), "master_seed": -1}),
+        # sizes stop at the grid's largest, like the audit's size flags
+        ("sweep", {**sweep_spec_doc(), "alternative_counts": [2561],
+                   "agent_counts": [2], "trials": 1}),
+        ("sweep", {**sweep_spec_doc(), "alternative_counts": [10],
+                   "agent_counts": [513], "trials": 1}),
+        ("play", uniform_config_doc(preferences={"uniform": {"agents": 513}})),
         ("play", uniform_config_doc(
             preferences={"uniform": {"agents": 3, "master_seed": -3}}
         )),
@@ -356,6 +375,9 @@ def test_play_rejects_malformed_profile_file(tmp_path, capsys, profile, message)
         "trials-string",
         "fractional-count",
         "negative-seed",
+        "too-many-alternatives",
+        "too-many-agents",
+        "too-many-uniform-agents",
         "negative-uniform-seed",
         "negative-trial",
         "trial-too-large",

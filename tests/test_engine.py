@@ -121,31 +121,53 @@ def test_certificate_on_guaranteed_config():
     )
     report = audit_elimination_guarantee(play(config))
     assert report.passed
-    assert all(s.condition_held for s in report.stages)
+    assert report.stages_checked == report.condition_stages == 2
 
 
 def test_certificate_vacuous_when_condition_never_holds():
     report = audit_elimination_guarantee(play(cycle_config(), STATIC))
     assert report.passed
-    assert not report.stages[0].condition_held
-    assert [s.stage for s in report.stages if not s.ok] == []
+    assert (report.stages_checked, report.condition_stages) == (1, 0)
+    assert report.violations == ()
 
 
-def test_certificate_flags_injected_violation():
-    base = play(cycle_config(), STATIC)
-    bad_stage = StageRecord(
-        stage=1,
+def cycle_stage(stage=1, threshold=1, after=None):
+    # the cycle's stage: one vote for each alternative, nothing eliminated
+    before = {x: F(threshold) for x in (1, 2, 3)}
+    return StageRecord(
+        stage=stage,
         live_before=frozenset({1, 2, 3}),
-        thresholds_before={x: F(2) for x in (1, 2, 3)},  # mass 6 > 3 votes
+        thresholds_before=before,
         profile=[1, 2, 3],
         tally={1: 1, 2: 1, 3: 1},
         eliminated=frozenset(),
-        thresholds_after={x: F(2) for x in (1, 2, 3)},
+        thresholds_after=before if after is None else after,
     )
-    doctored = GameTrace(base.config, base.rule, (bad_stage,), base.outcome)
+
+
+GROWN_MASS = {1: F(2), 2: F(1), 3: F(1)}  # mass 3 becomes 4
+
+
+@pytest.mark.parametrize(
+    "rule, stages, expected",
+    [
+        # mass 6 > 3 votes, yet nothing is eliminated
+        (STATIC, [cycle_stage(threshold=2)], [(1, "no_elimination")]),
+        # three stages with three alternatives, where the bound is two
+        (STATIC, [cycle_stage(k) for k in (1, 2, 3)], [(3, "length_bound")]),
+        (ThresholdRule.UPDATING, [cycle_stage(after=GROWN_MASS)],
+         [(1, "mass_not_conserved")]),
+        # static thresholds owe no conservation
+        (STATIC, [cycle_stage(after=GROWN_MASS)], []),
+    ],
+    ids=["no_elimination", "length_bound", "mass_not_conserved", "static-mass"],
+)
+def test_certificate_flags_injected_violation(rule, stages, expected):
+    outcome = NonTerminating(at_stage=len(stages))
+    doctored = GameTrace(cycle_config(), rule, tuple(stages), outcome)
     report = audit_elimination_guarantee(doctored)
-    assert not report.passed
-    assert [s.stage for s in report.stages if not s.ok] == [1]
+    assert [(v.stage, v.kind) for v in report.violations] == expected
+    assert report.passed == (not expected)
 
 
 # --- randomized trace coherence --------------------------------------------

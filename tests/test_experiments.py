@@ -11,7 +11,6 @@ from votegame.experiments import (
     DEFAULT_AGENT_GRID,
     DEFAULT_ALTERNATIVE_GRID,
     REFERENCE_AVG_LENGTHS,
-    SweepSpec,
     _feasible_peaks,
     _run_cell,
     calibrate_convention,
@@ -36,21 +35,14 @@ def test_default_grids_match_reference_table_shape():
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec(trials=0)
+        sweep_spec_from_dict({"trials": 0})
     with pytest.raises(ValueError):
-        SweepSpec(alternative_counts=(1, 10))
-    with pytest.raises(ValueError):
-        SweepSpec(agent_counts=())
+        sweep_spec_from_dict({"alternative_counts": [1, 10]})
+    with pytest.raises(ValueError, match="both grid axes must be nonempty"):
+        sweep_spec_from_dict({"agent_counts": []})
 
 
-def test_sweep_spec_file_round_trip(tmp_path):
-    spec = SweepSpec(
-        alternative_counts=(10, 20),
-        agent_counts=(2, 4),
-        trials=7,
-        master_seed=123,
-        length_convention=LengthConvention.ROUNDS_PLUS_FINAL,
-    )
+def test_sweep_spec_file_round_trip(tmp_path, monkeypatch):
     path = tmp_path / "spec.json"
     path.write_text(
         json.dumps(
@@ -63,7 +55,19 @@ def test_sweep_spec_file_round_trip(tmp_path):
             }
         )
     )
-    assert read_sweep_spec(path) == spec
+    assert read_sweep_spec(path) == {
+        "cells": [(10, 2), (10, 4), (20, 2), (20, 4)],
+        "trials": 7,
+        "master_seed": 123,
+        "length_convention": LengthConvention.ROUNDS_PLUS_FINAL,
+    }
+    monkeypatch.delenv("VOTEGAME_SEED", raising=False)
+    assert sweep_spec_from_dict({}) == {
+        "cells": [(m, n) for m in DEFAULT_ALTERNATIVE_GRID for n in DEFAULT_AGENT_GRID],
+        "trials": 100,
+        "master_seed": 0,
+        "length_convention": LengthConvention.ROUNDS_PLAYED,
+    }
 
 
 def test_sweep_spec_rejects_unknown_fields():
@@ -147,10 +151,11 @@ def test_report_rates_and_exact_means():
 
 
 def test_spec_cells_cover_the_grid():
-    spec = SweepSpec(
-        alternative_counts=(10, 20), agent_counts=(2, 4), trials=5, master_seed=2
+    spec = sweep_spec_from_dict(
+        {"alternative_counts": [10, 20], "agent_counts": [2, 4], "trials": 5,
+         "master_seed": 2}
     )
-    report = run_cells(spec.cells(), spec.trials, spec.master_seed)
+    report = run_cells(**spec)
     assert set(report.cells) == {(10, 2), (10, 4), (20, 2), (20, 4)}
 
 

@@ -11,6 +11,7 @@ from votegame.engine import (
     NonTerminating,
     ThresholdRule,
     Winner,
+    audit_elimination_guarantee,
     play,
 )
 
@@ -26,7 +27,7 @@ def outcome_kind(outcome):
 
 def compare_exhaustively(max_agents, max_alternatives, weight_values=(1,)):
     """Compare per-stage survivor sets on every profile and every weight
-    vector drawn from `weight_values`."""
+    vector drawn from `weight_values`, and certify every game played."""
     games = 0
     for m in range(2, max_alternatives + 1):
         for n in range(1, max_agents + 1):
@@ -54,6 +55,7 @@ def compare_exhaustively(max_agents, max_alternatives, weight_values=(1,)):
                             kind, winner = outcome_kind(trace.outcome)
                             assert kind == naive_kind, case
                             assert winner == naive_winner, case
+                            assert audit_elimination_guarantee(trace).passed, case
                             games += 1
     return games
 
