@@ -16,7 +16,6 @@ from . import audit as audit_mod
 from . import experiments, serialize
 from .core import InvalidConfig
 from .engine import AllEliminated, NonTerminating, Winner, play
-from .experiments import DEFAULT_AGENT_GRID, DEFAULT_ALTERNATIVE_GRID
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,19 +118,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    # game sizes are capped at the paper's largest grid sizes, so a game's
-    # weights and rankings always fit in memory
-    for flag, value, low, high in (
-        ("--trials", args.trials, 1, None),
-        ("--max-agents", args.max_agents, 1, max(DEFAULT_AGENT_GRID)),
-        ("--max-alternatives", args.max_alternatives, 2, max(DEFAULT_ALTERNATIVE_GRID)),
-    ):
-        if value < low:
-            print(f"error: {flag} must be at least {low}", file=sys.stderr)
-            return EXIT_USAGE
-        if high is not None and value > high:
-            print(f"error: {flag} must be at most {high}", file=sys.stderr)
-            return EXIT_USAGE
+    # the sweep spec's size ceilings and wording, so a game's weights and
+    # rankings always fit in memory
+    serialize._integer(args.trials, "--trials", 1)
+    serialize._integer(args.max_agents, "--max-agents", 1, serialize._AGENT_LIMIT)
+    serialize._integer(
+        args.max_alternatives, "--max-alternatives", 2, serialize._ALTERNATIVE_LIMIT
+    )
     override = audit_mod.off_by_one_elimination if args.inject_off_by_one else None
     report = audit_mod.run_audit(
         trials=args.trials,

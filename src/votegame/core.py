@@ -166,7 +166,13 @@ def eliminate(
     """
     if counts.keys() != thresholds.keys():
         raise ValueError("tally and thresholds cover different alternative sets")
-    survivors = frozenset(x for x, r in counts.items() if r >= thresholds[x])
+    # r >= f as integers: Fraction keeps f in lowest terms with a positive
+    # denominator, and an int threshold has denominator 1
+    survivors = frozenset(
+        x
+        for x, r in counts.items()
+        if r * thresholds[x].denominator >= thresholds[x].numerator
+    )
     return survivors, frozenset(counts) - survivors
 
 
@@ -217,9 +223,8 @@ def update_thresholds(
     if total_pop == 0:
         share = mass / len(survivors)
         return {x: prev_thresholds[x] + share for x in survivors}
-    return {
-        x: prev_thresholds[x] + pops[x] * mass / total_pop for x in survivors
-    }
+    share = mass / total_pop  # exact, so one division serves every survivor
+    return {x: prev_thresholds[x] + pops[x] * share for x in survivors}
 
 
 def guarantees_elimination(

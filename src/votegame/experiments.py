@@ -124,12 +124,16 @@ class ExperimentReport:
         return sorted({n for _, n in self.cells})
 
 
-def _run_cell(m: int, n: int, trials: int, master_seed: int) -> CellResult:
+def _run_trials(
+    m: int, n: int, trials: range, master_seed: int
+) -> tuple[int, int, int, int]:
+    """Play the given trials of cell (m, n); return their integer sums
+    (winners, all eliminated, rounds, squared rounds)."""
     threshold = Fraction(2 * n, m)
     initial_thresholds = {x: threshold for x in range(1, m + 1)}
     weights = (1,) * n
     winner = all_eliminated = rounds_total = rounds_sq_total = 0
-    for t in range(trials):
+    for t in trials:
         seed = Seed(master_seed, mix64(m, n, t))
         rankings = incremental_rankings(n, m, seed)
         choosers = [r.first_in for r in rankings]
@@ -152,20 +156,15 @@ def _run_cell(m: int, n: int, trials: int, master_seed: int) -> CellResult:
             all_eliminated += 1
         rounds_total += k
         rounds_sq_total += k * k
-    return CellResult(
-        alternatives=m,
-        agents=n,
-        trials=trials,
-        winner_count=winner,
-        all_eliminated_count=all_eliminated,
-        rounds_total=rounds_total,
-        rounds_sq_total=rounds_sq_total,
-    )
+    return winner, all_eliminated, rounds_total, rounds_sq_total
 
 
-def _cell_worker(args: tuple[int, int, int, int]) -> tuple[tuple[int, int], CellResult]:
-    m, n, trials, master_seed = args
-    return (m, n), _run_cell(m, n, trials, master_seed)
+def _run_cell(m: int, n: int, trials: int, master_seed: int) -> CellResult:
+    return CellResult(m, n, trials, *_run_trials(m, n, range(trials), master_seed))
+
+
+def _range_worker(args: tuple[int, int, range, int]) -> tuple[int, int, int, int]:
+    return _run_trials(*args)
 
 
 def run_cells(
@@ -177,24 +176,33 @@ def run_cells(
 ) -> ExperimentReport:
     """Evaluate an explicit cell list (the sweep's engine room).
 
-    Cells are independent work units; `jobs` > 1 spreads them over worker
-    processes.  Results are identical for any job count because every trial's
-    randomness comes from its own (master, m, n, trial) coordinates.
+    `jobs` > 1 spreads the work over worker processes, one task per cell and
+    contiguous range of its trials: every cell is split into as many ranges
+    as there are workers, so the slowest cell is shared out rather than left
+    to run alone at the end.  Results are identical for any job count because
+    every trial's randomness comes from its own (master, m, n, trial)
+    coordinates and a cell's sums are integers.
     """
     from . import __version__
 
     cell_list = list(dict.fromkeys(cells))
-    work = [(m, n, trials, master_seed) for m, n in cell_list]
-    results: dict[tuple[int, int], CellResult] = {}
-    if jobs > 1 and len(work) > 1:
-        # a pool forks all its workers up front, so never more than cells
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            for key, res in pool.map(_cell_worker, work):
-                results[key] = res
+    # a pool forks all its workers up front, so never more than cells
+    workers = min(jobs, len(cell_list)) if jobs > 1 and len(cell_list) > 1 else 1
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    work = [
+        (m, n, range(bounds[k], bounds[k + 1]), master_seed)
+        for m, n in cell_list
+        for k in range(workers)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(_range_worker, work))
     else:
-        for args in work:
-            key, res = _cell_worker(args)
-            results[key] = res
+        sums = list(map(_range_worker, work))
+    results = {}
+    for i, (m, n) in enumerate(cell_list):
+        parts = sums[i * workers:(i + 1) * workers]
+        results[(m, n)] = CellResult(m, n, trials, *map(sum, zip(*parts)))
     return ExperimentReport(
         master_seed=master_seed,
         trials=trials,

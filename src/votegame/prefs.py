@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rng import IncrementalRanking, Xoshiro256StarStar, mix64, shuffled
+from .rng import IncrementalRanking, Xoshiro256StarStar, mix64_each, shuffled
 
 _PREF_STREAM_TAG = 0x70726566  # domain separation from other streams
 
@@ -29,10 +29,10 @@ class Seed:
             raise ValueError("trial index must fit in 64 unsigned bits")
 
 
-def agent_stream(seed: Seed, agent: int) -> Xoshiro256StarStar:
-    """The pinned random stream owned by one agent in one trial."""
-    return Xoshiro256StarStar(
-        mix64(_PREF_STREAM_TAG, seed.master, seed.trial_index, agent)
+def _agent_seeds(n: int, seed: Seed) -> list[int]:
+    """The pinned stream seeds of agents 1..n in one trial."""
+    return mix64_each(
+        (_PREF_STREAM_TAG, seed.master, seed.trial_index), range(1, n + 1)
     )
 
 
@@ -44,8 +44,7 @@ def incremental_rankings(n: int, m: int, seed: Seed) -> list[IncrementalRanking]
     consults, which matters when alternatives vastly outnumber agents.
     """
     return [
-        IncrementalRanking(m, agent_stream(seed, agent))
-        for agent in range(1, n + 1)
+        IncrementalRanking(m, Xoshiro256StarStar(s)) for s in _agent_seeds(n, seed)
     ]
 
 
@@ -54,6 +53,5 @@ def generate(n: int, m: int, seed: Seed) -> list[tuple[int, ...]]:
     agent, each an eager shuffle of that agent's own stream."""
     alternatives = range(1, m + 1)
     return [
-        shuffled(alternatives, agent_stream(seed, agent))
-        for agent in range(1, n + 1)
+        shuffled(alternatives, Xoshiro256StarStar(s)) for s in _agent_seeds(n, seed)
     ]

@@ -11,7 +11,7 @@ are exactly uniform.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
@@ -39,12 +39,22 @@ def mix64(*parts: int) -> int:
     return h
 
 
+def mix64_each(parts: Sequence[int], lasts: Iterable[int]) -> list[int]:
+    """``[mix64(*parts, last) for last in lasts]``, hashing the shared
+    prefix only once."""
+    h = mix64(*parts)
+    return [_finalize(((h ^ (p & _MASK64)) + _GOLDEN) & _MASK64) for p in lasts]
+
+
 def _splitmix64_fill(seed: int, count: int) -> list[int]:
     out = []
     s = seed & _MASK64
     for _ in range(count):
         s = (s + _GOLDEN) & _MASK64
-        out.append(_finalize(s))
+        # _finalize(s), inlined: four calls per stream seeded
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
     return out
 
 
@@ -107,8 +117,8 @@ class IncrementalRanking:
     __slots__ = ("_size", "_rng", "_slots", "_final")
 
     def __init__(self, size: int, rng: Xoshiro256StarStar):
-        if size < 1:
-            raise ValueError("size must be at least 1")
+        if not 1 <= size <= _TWO64:  # the bounds ``below`` accepts
+            raise ValueError("size must be in [1, 2^64]")
         self._size = size
         self._rng = rng
         self._slots: dict[int, int] = {}  # position -> value where it differs from identity
@@ -119,19 +129,33 @@ class IncrementalRanking:
         size = self._size
         slots = self._slots
         get = slots.get
-        below = self._rng.below
+        next_u64 = self._rng.next_u64
+        # Position i draws ``below(size - i)``, inlined.  A draw under
+        # 2^64 - size is under every rejection limit 2^64 - 2^64 % bound of
+        # this ranking, since 2^64 % bound < bound <= size; only a draw at or
+        # above it needs the exact limit.  The draws are the ones ``below``
+        # makes, in the same order.
+        fast = _TWO64 - size
         final = self._final
         i = 0
         while i < size:
-            if i >= final:
-                if i < size - 1:
-                    j = i + below(size - i)
-                    vi = get(i, i + 1)
-                    slots[i] = get(j, j + 1)
-                    slots[j] = vi
-                final = i + 1
-                self._final = final
-            value = get(i, i + 1)
+            if i < final:
+                value = get(i, i + 1)
+            elif i < size - 1:
+                bound = size - i
+                draw = next_u64()
+                if draw >= fast:
+                    limit = _TWO64 - _TWO64 % bound
+                    while draw >= limit:
+                        draw = next_u64()
+                j = i + draw % bound
+                value = get(j, j + 1)
+                slots[j] = get(i, i + 1)
+                slots[i] = value
+                final = self._final = i + 1
+            else:
+                value = get(i, i + 1)
+                final = self._final = size
             if value in live:
                 return value
             i += 1

@@ -234,7 +234,9 @@ def test_audit_zero_trials_is_usage_error(capsys):
     for flags in bad_flags:
         code = main(["audit", *flags])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be")
+        assert capsys.readouterr().err.startswith(
+            f"error: {flags[0]}: must be an integer"
+        )
 
 
 def test_usage_errors_exit_one():

@@ -112,10 +112,14 @@ def test_cell_matches_full_engine_on_materialized_preferences():
 
 def test_run_cells_parallel_equals_serial():
     cells = [(10, 2), (10, 4), (20, 2)]
-    serial = run_cells(cells, trials=40, master_seed=3, jobs=1)
-    parallel = run_cells(cells, trials=40, master_seed=3, jobs=2)
-    assert serial.cells == parallel.cells
-    assert report_to_dict(serial) == report_to_dict(parallel)
+    # each cell's trials are split across the workers: evenly, unevenly,
+    # and with fewer trials than workers (an empty range)
+    for trials, jobs in ((40, 2), (7, 2), (7, 3), (1, 2)):
+        serial = run_cells(cells, trials=trials, master_seed=3, jobs=1)
+        parallel = run_cells(cells, trials=trials, master_seed=3, jobs=jobs)
+        assert list(parallel.cells) == cells
+        assert serial.cells == parallel.cells
+        assert report_to_dict(serial) == report_to_dict(parallel)
 
 
 def test_pool_never_has_more_workers_than_cells(monkeypatch):
@@ -138,6 +142,39 @@ def test_pool_never_has_more_workers_than_cells(monkeypatch):
     run_cells([(10, 2), (10, 4), (20, 2)], trials=2, master_seed=1, jobs=64)
     run_cells([(10, 2), (10, 4), (20, 2)], trials=2, master_seed=1, jobs=2)
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("trials, jobs", [(7, 3), (1, 2), (10, 64)])
+def test_each_cell_splits_into_ranges_that_partition_its_trials(
+    monkeypatch, trials, jobs
+):
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            work = list(work)
+            tasks.append((self.workers, work))
+            return map(fn, work)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cells = [(10, 2), (10, 4), (20, 2)]
+    run_cells(cells, trials=trials, master_seed=1, jobs=jobs)
+    [(workers, work)] = tasks
+    assert workers == min(jobs, len(cells))
+    assert len(work) == workers * len(cells)
+    for i, cell in enumerate(cells):
+        of_cell = work[i * workers:(i + 1) * workers]
+        assert {(m, n) for m, n, _, _ in of_cell} == {cell}
+        assert [t for _, _, r, _ in of_cell for t in r] == list(range(trials))
 
 
 def test_report_rates_and_exact_means():

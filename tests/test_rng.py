@@ -1,8 +1,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
-from votegame.rng import IncrementalRanking, Xoshiro256StarStar, mix64, shuffled
+from votegame.rng import (
+    IncrementalRanking,
+    Xoshiro256StarStar,
+    mix64,
+    mix64_each,
+    shuffled,
+)
 
 # First six outputs after SplitMix64 state expansion, frozen from the
 # published reference implementation of xoshiro256** (cross-compiled C).
@@ -45,6 +52,14 @@ def test_mix64_is_stable_and_separates_inputs():
     seen = {mix64(a, b) for a in range(20) for b in range(20)}
     assert len(seen) == 400
     assert mix64(1, 2) != mix64(2, 1)
+
+
+U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@given(parts=st.lists(U64, max_size=4), lasts=st.lists(U64, max_size=8))
+def test_mix64_each_hashes_like_mix64(parts, lasts):
+    assert mix64_each(parts, lasts) == [mix64(*parts, p) for p in lasts]
 
 
 def test_below_range_and_errors():
@@ -100,3 +115,55 @@ def test_first_in_errors_when_nothing_matches():
     ranking = IncrementalRanking(4, Xoshiro256StarStar(1))
     with pytest.raises(ValueError):
         ranking.first_in({99})
+
+
+class ScriptedStream:
+    """A generator stand-in whose draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def next_u64(self):
+        return self.draws.pop(0)
+
+
+def test_reveal_draws_exactly_what_below_draws():
+    # the reveal inlines below(size - i); after any series of reveals the
+    # generator must be where the same below calls would have left it
+    for seed in range(40):
+        for size in (2, 3, 7, 12, 100):
+            full = shuffled(range(1, size + 1), Xoshiro256StarStar(seed))
+            for deepest in (0, size // 3, size - 1):
+                rng = Xoshiro256StarStar(seed)
+                ranking = IncrementalRanking(size, rng)
+                for cut in (deepest // 2, 0, deepest):
+                    assert ranking.first_in(set(full[cut:])) == full[cut]
+                reference = Xoshiro256StarStar(seed)
+                for i in range(min(deepest + 1, size - 1)):
+                    reference.below(size - i)
+                assert rng.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("size", [3, 5, 12])
+def test_reveal_rejects_draws_as_below_does(size):
+    # A real stream at these sizes rejects with probability below 1e-16, so
+    # the draws are scripted.  2^64 - 1 is at or above the rejection limit of
+    # every bound that is not a power of two; 2^64 - 2 is above the fast
+    # path's cut 2^64 - size but below the exact limit of bounds 3 and 5.
+    draws = [(1 << 64) - 1, (1 << 64) - 2] + [7 * k + 5 for k in range(size)]
+    reference = ScriptedStream(draws)
+    expected = list(range(1, size + 1))
+    for i in range(size - 1):
+        j = i + Xoshiro256StarStar.below(reference, size - i)
+        expected[i], expected[j] = expected[j], expected[i]
+    assert len(draws) - len(reference.draws) > size - 1  # something was rejected
+    scripted = ScriptedStream(draws)
+    ranking = IncrementalRanking(size, scripted)
+    assert reveal(ranking, expected) == tuple(expected)
+    assert scripted.draws == reference.draws
+
+
+def test_incremental_ranking_size_bounds():
+    for size in (0, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            IncrementalRanking(size, Xoshiro256StarStar(1))
