@@ -97,9 +97,7 @@ def _trend_line(result) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    serialize._integer(args.jobs, "--jobs", 1)
     spec = serialize.read_sweep_spec(args.spec, args.seed)
     out_dir = Path(args.out_dir)
     # before the cells run, so an unusable out-dir fails at once

@@ -41,13 +41,11 @@ THRESHOLD_INIT_RULE = "2n/m"  # the only supported initialization
 # A trend survives moving each cell mean by this many standard errors.
 TREND_TOLERANCE_SE = 2.0
 
-# The small-agent cells whose lengths decide the counting convention.
-CALIBRATION_CELLS = ((10, 2), (10, 4), (10, 8))
-
 # Published reference grid of average game lengths (100 trials per cell,
-# alternatives x agents) that this harness reproduces.  The small-agent
-# corner is known not to match any engine counting convention exactly; see
-# calibrate_convention.
+# alternatives x agents) that this harness reproduces under the
+# rounds_plus_final convention.  Where m > 2n the mean is exactly
+# 3 - m**(1 - n) under that convention, so even the small-agent corner
+# matches: (10, 2) gives 2.9 against the published 2.89.
 _REFERENCE_ROWS: dict[int, tuple[float, ...]] = {
     10: (2.89, 3.00, 2.66, 2.15, 2.01, 2.00, 2.00, 2.00, 2.00),
     20: (2.96, 3.00, 3.00, 2.99, 2.49, 2.20, 2.01, 2.00, 2.00),
@@ -313,30 +311,6 @@ def trend_check(report: ExperimentReport) -> TrendReport:
         for n in report.agent_counts()
     )
     return TrendReport(rows=rows, columns=columns)
-
-
-# ---------------------------------------------------------------------------
-# Length-convention calibration
-
-
-def calibrate_convention(report: ExperimentReport) -> LengthConvention:
-    """The length convention whose cell means lie closer to the reference
-    values, summed over the report's cells; a tie goes to rounds_plus_final.
-
-    Callers pass `run_cells(CALIBRATION_CELLS, trials, master_seed)`.  The
-    recommendation is empirical, not a claim about how the reference study
-    counted.
-    """
-    gaps = dict.fromkeys(LengthConvention, 0.0)
-    for cell, result in report.cells.items():
-        if cell not in REFERENCE_AVG_LENGTHS:
-            raise ValueError(f"no reference value for cell {cell}")
-        for convention in gaps:
-            mean = float(result.mean_length(convention))
-            gaps[convention] += abs(mean - REFERENCE_AVG_LENGTHS[cell])
-    if gaps[LengthConvention.ROUNDS_PLUS_FINAL] <= gaps[LengthConvention.ROUNDS_PLAYED]:
-        return LengthConvention.ROUNDS_PLUS_FINAL
-    return LengthConvention.ROUNDS_PLAYED
 
 
 # ---------------------------------------------------------------------------

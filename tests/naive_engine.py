@@ -76,3 +76,20 @@ def threshold_grids(m, n):
 def exhaustive_profiles(m, n):
     """Every combination of strict orders for n agents over m alternatives."""
     return product(permutations(range(1, m + 1)), repeat=n)
+
+
+def closed_form_rounds_played(m, n):
+    """Exact mean rounds played by a sweep game (n unit-weight agents,
+    uniform preferences over m alternatives, thresholds 2n/m, updating
+    rule) when m > 2n.
+
+    The threshold 2n/m is below one vote, so every voted alternative
+    survives round 1 and no agent is displaced.  If all n top choices agree
+    (probability m**(1 - n)) that choice wins in round 1.  Otherwise k >= 2
+    survivors share the eliminated mass (m - k)2n/m in proportion to
+    c_x - 2n/m, which lifts each threshold above its unchanged tally c_x
+    because 2n > n; round 2 eliminates everything.
+    """
+    if not m > 2 * n:
+        raise ValueError(f"closed form needs m > 2n, got m={m}, n={n}")
+    return 2 - Fraction(1, m ** (n - 1))

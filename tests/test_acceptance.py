@@ -6,20 +6,20 @@ the whole module costs one audit run plus one Monte Carlo sweep.
 """
 
 import json
+import math
 from importlib import resources
 
 import pytest
 
+from naive_engine import closed_form_rounds_played
 from test_oracle import compare_exhaustively
 
 from votegame.audit import run_audit
 from votegame.cli import _resolve_config_path, main as cli_main
 from votegame.engine import LengthConvention, NonTerminating, play
 from votegame.experiments import (
-    CALIBRATION_CELLS,
     DEFAULT_AGENT_GRID,
     REFERENCE_AVG_LENGTHS,
-    calibrate_convention,
     run_cells,
     trend_check,
 )
@@ -96,43 +96,55 @@ def test_criterion_4_bundled_fixed_point_regression():
 
 
 def test_criterion_5_reference_cells_within_tolerance(sweep_1k):
+    plus_final = LengthConvention.ROUNDS_PLUS_FINAL
     required = [(10, n) for n in (64, 128, 256, 512)]
     required += [(m, n) for m in (1280, 2560) for n in SUBSAMPLED_AGENTS]
     misses = []
     for cell in required:
         ref = REFERENCE_AVG_LENGTHS[cell]
-        res = sweep_1k.cells[cell]
-        gap = min(
-            abs(float(res.mean_length(LengthConvention.ROUNDS_PLAYED)) - ref),
-            abs(float(res.mean_length(LengthConvention.ROUNDS_PLUS_FINAL)) - ref),
-        )
+        gap = abs(float(sweep_1k.cells[cell].mean_length(plus_final)) - ref)
         if gap > 0.1:
             misses.append((cell, ref, gap))
     assert not misses, misses
 
-    # the anomalous small-agent corner: report the measured gap under both
-    # conventions rather than forcing a match
-    calibration = run_cells(CALIBRATION_CELLS, trials=10_000, master_seed=MASTER_SEED)
-    for (m, n), res in calibration.cells.items():
+    # where m > 2n a game plays exactly 2 - m**(1 - n) rounds on average,
+    # so the published plateau fixes the counting convention by proof
+    closed = [(m, n) for m, n in REFERENCE_AVG_LENGTHS if m > 2 * n]
+    assert len(closed) == 53
+    for m, n in closed:
         ref = REFERENCE_AVG_LENGTHS[(m, n)]
-        played = float(res.mean_length(LengthConvention.ROUNDS_PLAYED))
-        plus_final = float(res.mean_length(LengthConvention.ROUNDS_PLUS_FINAL))
+        exact = closed_form_rounds_played(m, n)
+        assert abs(ref - float(1 + exact)) <= 0.1, (m, n, ref)
+        assert abs(ref - float(exact)) > 0.8, (m, n, ref)
+
+    # every swept game there ends with a winner in round 1 or with
+    # everything eliminated in round 2, and winners are as rare as predicted
+    swept = [(m, n) for m, n in sweep_1k.cells if m > 2 * n]
+    assert len(swept) == 28
+    for m, n in swept:
+        res = sweep_1k.cells[(m, n)]
+        t, w = res.trials, res.winner_count
+        assert res.decided == t, (m, n)
+        assert res.rounds_total == 2 * t - w, (m, n)
+        assert res.rounds_sq_total == 4 * t - 3 * w, (m, n)
+        p = 1 / m ** (n - 1)
+        assert abs(w - t * p) <= 5 * math.sqrt(t * p * (1 - p)) + 1, (m, n, w)
+
+    for m, n in ((10, 2), (10, 4), (10, 8)):
+        measured = float(sweep_1k.cells[(m, n)].mean_length(plus_final))
+        if m > 2 * n:
+            exact = 1 + closed_form_rounds_played(m, n)
+            closed_text = f"exact {exact} = {float(exact):.3f}"
+        else:
+            closed_text = "no closed form (m <= 2n)"
         _report(
-            f"  calibration m={m} n={n}: "
-            f"reference {ref:.2f}, "
-            f"rounds_played {played:.3f} "
-            f"(gap {abs(played - ref):.3f}), "
-            f"rounds_plus_final {plus_final:.3f} "
-            f"(gap {abs(plus_final - ref):.3f})"
+            f"  cell m={m} n={n}: reference {REFERENCE_AVG_LENGTHS[(m, n)]:.2f}, "
+            f"measured {measured:.3f}, {closed_text}"
         )
-    # hand analysis bounds the (10, 2) cell by two rounds played
-    first = calibration.cells[(10, 2)]
-    assert float(first.mean_length(LengthConvention.ROUNDS_PLAYED)) <= 2.0
-    recommended = calibrate_convention(calibration)
-    assert recommended is LengthConvention.ROUNDS_PLUS_FINAL
     _report(
         f"ACCEPTANCE 5 reference cells within +-0.1 under the "
-        f"{recommended.value} convention ({len(required)} cells): PASS"
+        f"{plus_final.value} convention ({len(required)} cells; closed form "
+        f"on {len(closed)} reference and {len(swept)} swept cells): PASS"
     )
 
 

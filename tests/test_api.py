@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import votegame
+from votegame import experiments, serialize
 from votegame.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,6 +31,21 @@ def test_readme_library_example_runs():
     namespace = {}
     exec("\n".join(body), namespace)
     assert repr(eval(expression, namespace)) == expected
+
+
+def test_readme_library_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", section):
+        calls = re.findall(r"([\w.]+)\(", span)
+        names.update(call.rsplit(".", 1)[-1] for call in calls)
+        names.update(re.findall(r"\b[A-Z][A-Z0-9_]+\b", span))
+    assert "run_cells" in names and "TREND_TOLERANCE_SE" in names
+    modules = (votegame, experiments, serialize)
+    missing = [n for n in names if not any(hasattr(mod, n) for mod in modules)]
+    assert not missing, f"README Library section names unknown API: {missing}"
 
 
 def test_readme_cli_commands_parse():

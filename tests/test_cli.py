@@ -202,8 +202,11 @@ def test_sweep_checks_out_dir_before_running_cells(tmp_path, capsys, monkeypatch
 
 def test_sweep_jobs_validation(tmp_path, capsys):
     spec = write_json(tmp_path / "spec.json", sweep_spec_doc())
-    code = main(["sweep", spec, "--out-dir", str(tmp_path / "o"), "--jobs", "0"])
-    assert code == 1
+    assert_clean_rejection(
+        ["sweep", spec, "--out-dir", str(tmp_path / "o"), "--jobs", "0"],
+        capsys,
+        "error: --jobs: must be an integer >= 1, got 0",
+    )
 
 
 def test_audit_small_clean_run(capsys):

@@ -7,13 +7,11 @@ from votegame import experiments
 from votegame.core import GameConfig
 from votegame.engine import LengthConvention, NonTerminating, Winner, play
 from votegame.experiments import (
-    CALIBRATION_CELLS,
     DEFAULT_AGENT_GRID,
     DEFAULT_ALTERNATIVE_GRID,
     REFERENCE_AVG_LENGTHS,
     _feasible_peaks,
     _run_cell,
-    calibrate_convention,
     grid_csv,
     report_to_dict,
     run_cells,
@@ -259,18 +257,3 @@ def test_trend_check_rows_and_columns():
     assert row.keys == (2, 4, 8)
     col = trends.columns[0]
     assert col.keys == (20, 10)  # columns scan decreasing alternative counts
-
-
-# --- convention calibration -------------------------------------------------
-
-
-def test_calibrate_convention_recommends_rounds_plus_final():
-    report = run_cells(CALIBRATION_CELLS, trials=300, master_seed=11)
-    # small-agent games here end in exactly two rounds, so adding a terminal
-    # round lands on the reference plateau while rounds-played sits 1 below
-    assert calibrate_convention(report) is LengthConvention.ROUNDS_PLUS_FINAL
-
-
-def test_calibrate_convention_rejects_unknown_cell():
-    with pytest.raises(ValueError):
-        calibrate_convention(run_cells([(11, 2)], trials=10, master_seed=0))
