@@ -107,7 +107,7 @@ def run_stages(
     """Drive a repeated game; choosers[i](live) yields agent i+1's vote.
 
     This is the single game loop behind both ``play`` (materialized
-    preference orders) and the sweep harness (lazily revealed orders).
+    preference orders) and the sweep harness (displaced-agent redraw).
     ``eliminate`` replaces ``core.eliminate`` only for the audit's negative
     controls.  ``StageLimitExceeded`` past the fixed safety cap means an
     engine bug.

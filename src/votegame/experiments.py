@@ -2,10 +2,19 @@
 
 Each cell (alternatives m, agents n) plays `trials` independent games with
 one vote per agent, all thresholds initialized to 2n/m, uniform random
-preferences, and the updating threshold rule.  Trial randomness is derived
-from (master seed, m, n, trial), so adding or removing cells never perturbs
-other cells, and trials can run in any order or in parallel with identical
-results.
+preferences, and the updating threshold rule.  Each trial draws from one
+stream seeded by (master seed, m, n, trial), so adding or removing cells
+never perturbs other cells, and trials can run in any order or in parallel
+with identical results.
+
+A trial never materializes a ranking; it plays the displaced-agent redraw.
+An agent whose vote survives keeps it.  When an agent's vote is eliminated,
+everything it has revealed of its uniform ranking has been eliminated, so
+its next vote is uniform over the current survivors.  The game is therefore
+equal in distribution to play() on uniform random profiles.
+Round 1 needs only each agent's top choice, and the alternatives nobody
+voted for, which all fall in round 1, enter as one synthetic alternative
+carrying their summed threshold mass, so a trial costs O(n), not O(m).
 
 Because the initial threshold mass 2n strictly exceeds the vote mass n and
 the updating rule conserves it, every stage of every trial eliminates at
@@ -26,12 +35,15 @@ from typing import Any, Iterable, Optional, Sequence
 from .engine import (
     LengthConvention,
     NonTerminating,
+    Outcome,
+    StageRecord,
     ThresholdRule,
     Winner,
     run_stages,
 )
-from .prefs import Seed, incremental_rankings
-from .rng import mix64
+# unused here; kept because perfbench/tracer.py patches this name
+from .prefs import incremental_rankings  # noqa: F401
+from .rng import Xoshiro256StarStar, mix64
 
 DEFAULT_AGENT_GRID = (2, 4, 8, 16, 32, 64, 128, 256, 512)
 DEFAULT_ALTERNATIVE_GRID = (10, 20, 40, 80, 160, 320, 640, 1280, 2560)
@@ -122,26 +134,53 @@ class ExperimentReport:
         return sorted({n for _, n in self.cells})
 
 
+_SWEEP_STREAM_TAG = 0x7377656570  # domain separation from other streams
+_UNVOTED = 0  # synthetic id for the round-1 block of unvoted alternatives
+
+
+def _sweep_game(m: int, n: int, stream) -> tuple[list[StageRecord], Outcome]:
+    """Play one sweep game by displaced-agent redraw (see the module
+    docstring); return its stages and outcome.  Only ``stream.below`` is
+    used: each agent's top choice in agent order, then one draw over the
+    sorted survivors per displaced agent.  The unvoted alternatives are
+    ``_UNVOTED``, which no one votes for, so round 1 eliminates it and
+    redistributes exactly their threshold mass.
+    """
+    below = stream.below
+    tops = [below(m) + 1 for _ in range(n)]
+    threshold = Fraction(2 * n, m)
+    initial = dict.fromkeys(tops, threshold)
+    if len(initial) < m:
+        initial[_UNVOTED] = (m - len(initial)) * threshold
+    stage = [None, None]  # run_stages' live set of this stage, and it sorted
+
+    def agent(choice: int):
+        def choose(live: frozenset[int]) -> int:
+            nonlocal choice
+            if choice not in live:
+                if stage[0] is not live:
+                    stage[:] = live, sorted(live)
+                ordered = stage[1]
+                choice = ordered[below(len(ordered))]
+            return choice
+        return choose
+
+    return run_stages(
+        (1,) * n, initial, initial, [agent(x) for x in tops], ThresholdRule.UPDATING
+    )
+
+
 def _run_trials(
     m: int, n: int, trials: range, master_seed: int
 ) -> tuple[int, int, int, int]:
     """Play the given trials of cell (m, n); return their integer sums
     (winners, all eliminated, rounds, squared rounds)."""
-    threshold = Fraction(2 * n, m)
-    initial_thresholds = {x: threshold for x in range(1, m + 1)}
-    weights = (1,) * n
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master seed must fit in 64 unsigned bits")
     winner = all_eliminated = rounds_total = rounds_sq_total = 0
     for t in trials:
-        seed = Seed(master_seed, mix64(m, n, t))
-        rankings = incremental_rankings(n, m, seed)
-        choosers = [r.first_in for r in rankings]
-        stages, outcome = run_stages(
-            weights,
-            range(1, m + 1),
-            initial_thresholds,
-            choosers,
-            ThresholdRule.UPDATING,
-        )
+        stream = Xoshiro256StarStar(mix64(_SWEEP_STREAM_TAG, master_seed, m, n, t))
+        stages, outcome = _sweep_game(m, n, stream)
         k = len(stages)
         if isinstance(outcome, NonTerminating) or k > m - 1:
             raise RuntimeError(

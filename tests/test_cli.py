@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from votegame import experiments
-from votegame.cli import main
+from votegame.cli import _trend_line, main
+from votegame.experiments import TrendResult
 
 
 def write_json(path, doc):
@@ -164,8 +165,8 @@ GOLDEN_SWEEP = Path(__file__).parent / "golden" / "sweep"
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_matches_golden_files(tmp_path, capsys, jobs):
-    # this grid prints all three trend-line kinds: rise-then-fall, peak at
-    # boundary and not unimodal
+    # this grid prints two trend-line kinds, rise-then-fall and peak at
+    # boundary; test_trend_lines_name_every_shape covers the third
     doc = {
         "alternative_counts": [10, 20, 40],
         "agent_counts": [2, 8, 32, 128],
@@ -180,6 +181,15 @@ def test_sweep_matches_golden_files(tmp_path, capsys, jobs):
     assert stdout == (GOLDEN_SWEEP / "stdout.txt").read_text(encoding="utf-8")
     for name in ("grid.csv", "report.json"):
         assert (out_dir / name).read_bytes() == (GOLDEN_SWEEP / name).read_bytes()
+
+
+def test_trend_lines_name_every_shape():
+    def line(axis, peaks):
+        return _trend_line(TrendResult(axis, 10, (2, 8, 32), (3.0, 2.9, 2.0), peaks))
+
+    assert line("agents", (1,)) == "row m=10: rise-then-fall, peak at n=8"
+    assert line("agents", (0,)) == "row m=10: peak at boundary (n=2)"
+    assert line("alternatives", ()) == "column n=10: not unimodal within tolerance"
 
 
 def test_sweep_rejects_bad_spec(tmp_path, capsys):

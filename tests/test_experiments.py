@@ -1,24 +1,26 @@
 import json
+import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
+from naive_engine import closed_form_rounds_played, exhaustive_profiles
+from test_oracle import outcome_kind, sweep_config
 
 from votegame import experiments
-from votegame.core import GameConfig
-from votegame.engine import LengthConvention, NonTerminating, Winner, play
+from votegame.engine import LengthConvention, ThresholdRule, play, run_stages
 from votegame.experiments import (
     DEFAULT_AGENT_GRID,
     DEFAULT_ALTERNATIVE_GRID,
     REFERENCE_AVG_LENGTHS,
     _feasible_peaks,
     _run_cell,
+    _sweep_game,
     grid_csv,
     report_to_dict,
     run_cells,
     trend_check,
 )
-from votegame.prefs import Seed, generate
-from votegame.rng import mix64
 from votegame.serialize import read_sweep_spec, sweep_spec_from_dict
 
 
@@ -76,6 +78,12 @@ def test_sweep_spec_rejects_unknown_fields():
 # --- cell evaluation --------------------------------------------------------
 
 
+def test_master_seed_must_fit_in_64_bits():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            _run_cell(10, 2, 1, seed)
+
+
 def test_cell_results_are_deterministic():
     a = _run_cell(10, 16, 40, 77)
     b = _run_cell(10, 16, 40, 77)
@@ -85,27 +93,135 @@ def test_cell_results_are_deterministic():
     assert a != c
 
 
-def test_cell_matches_full_engine_on_materialized_preferences():
-    # the sweep's lazily revealed rankings must realize exactly the games the
-    # reference path plays with fully materialized preference orders
-    m, n, trials, master = 6, 4, 30, 424242
-    rounds = winners = 0
-    for t in range(trials):
-        seed = Seed(master, mix64(m, n, t))
-        config = GameConfig(
-            weights=(1,) * n,
-            alternatives=frozenset(range(1, m + 1)),
-            preferences=generate(n, m, seed),
-            initial_thresholds={x: Fraction(2 * n, m) for x in range(1, m + 1)},
+class DrawTree:
+    """A stream that walks every path of a game's draw tree depth-first.
+
+    ``below(k)`` replays the scripted path and extends it with 0; each call
+    branches k ways with weight 1/k.  ``advance`` moves to the next path."""
+
+    def __init__(self):
+        self.path = []  # [draw, bound] per below() call
+        self.pos = 0
+
+    def below(self, bound):
+        if self.pos == len(self.path):
+            self.path.append([0, bound])
+        draw, scripted = self.path[self.pos]
+        assert scripted == bound  # same draws so far, same game so far
+        self.pos += 1
+        return draw
+
+    def weight(self):
+        assert self.pos == len(self.path)
+        return math.prod(Fraction(1, bound) for _, bound in self.path)
+
+    def advance(self):
+        while self.path and self.path[-1][0] + 1 == self.path[-1][1]:
+            self.path.pop()
+        if not self.path:
+            return False
+        self.path[-1][0] += 1
+        self.pos = 0
+        return True
+
+
+def signature(stages, outcome):
+    """A game up to relabelling: its outcome kind and, stage by stage, the
+    survivors' (tally, updated threshold) pairs.  The number of stages is
+    the rounds played."""
+    return outcome_kind(outcome)[0], tuple(
+        tuple(sorted((s.tally[x], s.thresholds_after[x]) for x in s.survivors))
+        for s in stages
+    )
+
+
+def draw_tree_law(game):
+    """Exact law of the signature of ``game(stream)`` over every path of its
+    draw tree, and the most draws any path made."""
+    tree, law, longest = DrawTree(), defaultdict(Fraction), 0
+    while True:
+        law[signature(*game(tree))] += tree.weight()
+        longest = max(longest, len(tree.path))
+        if not tree.advance():
+            return dict(law), longest
+
+
+def sweep_game_law(m, n):
+    return draw_tree_law(lambda stream: _sweep_game(m, n, stream))
+
+
+def revealed_rankings_law(m, n):
+    """Law of sweep games on uniform rankings of all m alternatives, each
+    revealed one position at a time, uniformly over its unseen alternatives,
+    when the engine asks for the agent's first live choice."""
+
+    def agent(stream):
+        ranking, unseen = [], list(range(1, m + 1))
+
+        def choose(live):
+            for x in ranking:
+                if x in live:
+                    return x
+            while True:
+                ranking.append(unseen.pop(stream.below(len(unseen))))
+                if ranking[-1] in live:
+                    return ranking[-1]
+
+        return choose
+
+    def game(stream):
+        thresholds = dict.fromkeys(range(1, m + 1), Fraction(2 * n, m))
+        choosers = [agent(stream) for _ in range(n)]
+        return run_stages(
+            (1,) * n, thresholds, thresholds, choosers, ThresholdRule.UPDATING
         )
-        trace = play(config)
-        assert not isinstance(trace.outcome, NonTerminating)
-        rounds += trace.rounds_played
-        winners += isinstance(trace.outcome, Winner)
-    cell = _run_cell(m, n, trials, master)
-    assert cell.rounds_total == rounds
-    assert cell.winner_count == winners
-    assert cell.decided == trials
+
+    return draw_tree_law(game)
+
+
+def play_law(m, n):
+    """Law of `play` over every profile.  With uniform thresholds
+    relabelling is a symmetry that keeps signatures, so fixing agent 1's
+    ranking leaves the law unchanged."""
+    identity = tuple(range(1, m + 1))
+    profiles = [(identity, *rest) for rest in exhaustive_profiles(m, n - 1)]
+    counts = Counter()
+    for profile in profiles:
+        trace = play(sweep_config(m, profile))
+        counts[signature(trace.stages, trace.outcome)] += 1
+    return {key: Fraction(c, len(profiles)) for key, c in counts.items()}
+
+
+def never_stuck(law):
+    return all(kind != "non_terminating" for kind, _ in law)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3), (5, 2)]
+)
+def test_sweep_game_law_equals_play_on_every_profile(m, n):
+    law, _ = sweep_game_law(m, n)
+    assert never_stuck(law)
+    assert law == play_law(m, n)
+    # the oracle of the next test, checked where play can be enumerated
+    assert revealed_rankings_law(m, n)[0] == law
+
+
+def test_displaced_agents_redraw_as_revealed_rankings_would():
+    # no agent ever redraws in the cells above; here some do
+    m, n = 5, 5
+    law, longest = sweep_game_law(m, n)
+    assert longest > n
+    assert never_stuck(law)
+    assert law == revealed_rankings_law(m, n)[0]
+
+
+@pytest.mark.parametrize("m, n", [(7, 3), (9, 4)])
+def test_sweep_game_mean_equals_the_closed_form(m, n):
+    law, _ = sweep_game_law(m, n)
+    assert never_stuck(law)
+    mean = sum(len(stages) * p for (_, stages), p in law.items())
+    assert mean == closed_form_rounds_played(m, n)
 
 
 def test_run_cells_parallel_equals_serial():
