@@ -6,8 +6,9 @@ falls strictly below its threshold is eliminated; survivors then absorb the
 eliminated alternatives' threshold mass in proportion to their popularity
 (tally minus threshold).  Survival on exact equality is deliberate.
 
-All threshold and popularity arithmetic uses ``fractions.Fraction`` - never
-floats - so the redistribution conserves total threshold mass bit-exactly.
+Thresholds are ``fractions.Fraction`` values - never floats - and the update
+computes on their integer numerators and denominators, still exactly, so the
+redistribution conserves total threshold mass bit-exactly.
 Alternatives keep one stable integer identity for the whole game; there is
 no per-stage renumbering.
 """
@@ -214,17 +215,26 @@ def update_thresholds(
         raise ValueError("thresholds do not cover exactly the live set")
     if not eliminated:
         return dict(prev_thresholds)
-    pops = {x: Fraction(counts[x]) - prev_thresholds[x] for x in survivors}
-    for x, a in pops.items():
+    # survivor x has threshold p/q and popularity a/q, a = counts[x]*q - p;
+    # popularities are summed by denominator as integers
+    terms = []
+    pop_by_den: dict[int, int] = {}
+    for x in survivors:
+        p, q = prev_thresholds[x].numerator, prev_thresholds[x].denominator
+        a = counts[x] * q - p
         if a < 0:
-            raise ValueError(f"survivor {x} has negative popularity {a}")
+            raise ValueError(f"survivor {x} has negative popularity {Fraction(a, q)}")
+        pop_by_den[q] = pop_by_den.get(q, 0) + a
+        terms.append((x, p, q, a))
     mass = _fsum(prev_thresholds[x] for x in eliminated)
-    total_pop = _fsum(pops.values())
+    total_pop = sum(Fraction(a, q) for q, a in pop_by_den.items())
     if total_pop == 0:
         share = mass / len(survivors)
         return {x: prev_thresholds[x] + share for x in survivors}
     share = mass / total_pop  # exact, so one division serves every survivor
-    return {x: prev_thresholds[x] + pops[x] * share for x in survivors}
+    # p/q + (a/q)(sn/sd), built as one Fraction (one gcd) per survivor
+    sn, sd = share.numerator, share.denominator
+    return {x: Fraction(p * sd + a * sn, q * sd) for x, p, q, a in terms}
 
 
 def guarantees_elimination(

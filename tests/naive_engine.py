@@ -43,15 +43,7 @@ def naive_game(orders, weights, thresholds, rule):
         if not drop:
             return survivor_sets, "non_terminating", None
         if rule == "updating":
-            total_prev = sum(f)
-            kept_prev = sum(f[p] for p in keep)
-            pool = total_prev - kept_prev
-            pops = [r[p] - f[p] for p in keep]
-            denom = sum(pops)
-            if denom == 0:
-                new_f = [f[p] + pool / len(keep) for p in keep]
-            else:
-                new_f = [f[p] + (a / denom) * pool for p, a in zip(keep, pops)]
+            new_f = naive_update(f, r, keep)
         else:
             new_f = [f[p] for p in keep]
         names = [names[p] for p in keep]
@@ -59,6 +51,19 @@ def naive_game(orders, weights, thresholds, rule):
     if names:
         return survivor_sets, "winner", names[0]
     return survivor_sets, "all_eliminated", None
+
+
+def naive_update(f, r, keep):
+    """The updating rule on positions: thresholds f, tallies r, kept
+    positions keep (in order).  Returns the kept positions' new thresholds."""
+    total_prev = sum(f)
+    kept_prev = sum(f[p] for p in keep)
+    pool = total_prev - kept_prev
+    pops = [r[p] - f[p] for p in keep]
+    denom = sum(pops)
+    if denom == 0:
+        return [f[p] + pool / len(keep) for p in keep]
+    return [f[p] + (a / denom) * pool for p, a in zip(keep, pops)]
 
 
 def threshold_grids(m, n):

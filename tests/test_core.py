@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from naive_engine import naive_update
 
+from votegame.audit import off_by_one_elimination
 from votegame.core import (
     GameConfig,
     InvalidConfig,
@@ -171,6 +173,73 @@ def test_update_rejects_empty_survivors():
 def test_update_rejects_negative_popularity():
     with pytest.raises(ValueError, match="negative popularity"):
         update_thresholds({1: F(5), 2: F(1)}, {1: 1, 2: 0}, {1}, {2})
+
+
+def test_update_negative_popularity_message_is_exact():
+    # survivor 1's popularity is 1 - 7/2, shown as a reduced Fraction
+    with pytest.raises(ValueError) as exc:
+        update_thresholds(
+            {1: F(7, 2), 2: F(1), 3: F(2)}, {1: 1, 2: 0, 3: 5}, {1, 3}, {2}
+        )
+    assert str(exc.value) == "survivor 1 has negative popularity -5/2"
+
+
+@st.composite
+def mixed_denominator_stages(draw):
+    m = draw(st.integers(2, 8))
+    counts = {x: draw(st.integers(0, 8)) for x in range(1, m + 1)}
+    thresholds = {
+        x: F(draw(st.integers(0, 40)), draw(st.integers(1, 12))) for x in counts
+    }
+    if draw(st.booleans()):
+        # every survivor meets its threshold exactly: zero total popularity
+        thresholds = {
+            x: F(counts[x]) if f <= counts[x] else f for x, f in thresholds.items()
+        }
+    return counts, thresholds
+
+
+@given(mixed_denominator_stages())
+@example(({1: 1, 2: 2, 3: 0}, {1: F(1), 2: F(2), 3: F(7, 12)}))  # zero popularity
+def test_update_equals_the_naive_rule(stage):
+    counts, thresholds = stage
+    survivors, gone = eliminate(counts, thresholds)
+    if not survivors:
+        return
+    ids = sorted(counts)
+    keep = [p for p, x in enumerate(ids) if x in survivors]
+    expected = naive_update(
+        [thresholds[x] for x in ids], [counts[x] for x in ids], keep
+    )
+    new = update_thresholds(thresholds, counts, survivors, gone)
+    assert new == {ids[p]: f for p, f in zip(keep, expected)}
+
+
+def pigeonhole_holds(rule, counts, thresholds):
+    """Threshold mass above vote mass forces at least one elimination."""
+    _, gone = rule(counts, thresholds)
+    return bool(gone) or threshold_total(thresholds) <= sum(counts.values())
+
+
+@given(
+    counts=st.dictionaries(
+        st.integers(1, 50), st.integers(0, 10**6), min_size=1, max_size=12
+    ),
+    data=st.data(),
+)
+def test_eliminate_obeys_the_pigeonhole_principle(counts, data):
+    thresholds = {
+        x: F(data.draw(st.integers(0, 10**7)), data.draw(st.integers(1, 10**4)))
+        for x in counts
+    }
+    assert pigeonhole_holds(eliminate, counts, thresholds)
+
+
+def test_off_by_one_elimination_breaks_the_pigeonhole_principle():
+    # negative control: mass 4 exceeds 2 votes, yet nothing is eliminated
+    counts, thresholds = {1: 1, 2: 1}, {1: F(2), 2: F(2)}
+    assert pigeonhole_holds(eliminate, counts, thresholds)
+    assert not pigeonhole_holds(off_by_one_elimination, counts, thresholds)
 
 
 @st.composite

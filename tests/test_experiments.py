@@ -10,11 +10,13 @@ from test_oracle import outcome_kind, sweep_config
 from votegame import experiments
 from votegame.engine import LengthConvention, ThresholdRule, play, run_stages
 from votegame.experiments import (
+    _UNVOTED,
     DEFAULT_AGENT_GRID,
     DEFAULT_ALTERNATIVE_GRID,
     REFERENCE_AVG_LENGTHS,
     _feasible_peaks,
     _run_cell,
+    _run_trials,
     _sweep_game,
     grid_csv,
     report_to_dict,
@@ -93,6 +95,22 @@ def test_cell_results_are_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize(
+    "m, n, trials, sums",
+    [
+        (10, 8, 400, (128, 272, 677, 1231)),
+        (40, 32, 200, (78, 122, 415, 875)),
+        (160, 512, 40, (11, 29, 90, 210)),
+        (640, 512, 40, (15, 25, 139, 497)),
+        (2560, 2, 400, (0, 400, 800, 1600)),
+    ],
+)
+def test_run_trials_sums_are_pinned(m, n, trials, sums):
+    # the golden sweep files stop at m = 40; the n = 512 cells reach the deep
+    # updating path (many survivors, many stages, large denominators)
+    assert _run_trials(m, n, range(trials), 9) == sums
+
+
 class DrawTree:
     """A stream that walks every path of a game's draw tree depth-first.
 
@@ -135,22 +153,33 @@ def signature(stages, outcome):
     )
 
 
-def draw_tree_law(game):
-    """Exact law of the signature of ``game(stream)`` over every path of its
+def labelled_signature(stages, outcome):
+    """A game with its labels: its outcome kind and, stage by stage, the map
+    from alternative id to nonzero tally (which fixes the thresholds, and so
+    the winner).  ``_UNVOTED`` is dropped, so a sweep game and a game over
+    all m alternatives compare directly."""
+    return outcome_kind(outcome)[0], tuple(
+        tuple(sorted((x, t) for x, t in s.tally.items() if t and x != _UNVOTED))
+        for s in stages
+    )
+
+
+def draw_tree_law(game, sign=signature):
+    """Exact law of ``sign`` of ``game(stream)`` over every path of its
     draw tree, and the most draws any path made."""
     tree, law, longest = DrawTree(), defaultdict(Fraction), 0
     while True:
-        law[signature(*game(tree))] += tree.weight()
+        law[sign(*game(tree))] += tree.weight()
         longest = max(longest, len(tree.path))
         if not tree.advance():
             return dict(law), longest
 
 
-def sweep_game_law(m, n):
-    return draw_tree_law(lambda stream: _sweep_game(m, n, stream))
+def sweep_game_law(m, n, sign=signature):
+    return draw_tree_law(lambda stream: _sweep_game(m, n, stream), sign)
 
 
-def revealed_rankings_law(m, n):
+def revealed_rankings_law(m, n, sign=signature):
     """Law of sweep games on uniform rankings of all m alternatives, each
     revealed one position at a time, uniformly over its unseen alternatives,
     when the engine asks for the agent's first live choice."""
@@ -176,7 +205,7 @@ def revealed_rankings_law(m, n):
             (1,) * n, thresholds, thresholds, choosers, ThresholdRule.UPDATING
         )
 
-    return draw_tree_law(game)
+    return draw_tree_law(game, sign)
 
 
 def play_law(m, n):
@@ -208,12 +237,13 @@ def test_sweep_game_law_equals_play_on_every_profile(m, n):
 
 
 def test_displaced_agents_redraw_as_revealed_rankings_would():
-    # no agent ever redraws in the cells above; here some do
+    # no agent ever redraws in the cells above; here some do.  Labels are
+    # kept, so a redraw that favours some ids over others would show
     m, n = 5, 5
-    law, longest = sweep_game_law(m, n)
+    law, longest = sweep_game_law(m, n, labelled_signature)
     assert longest > n
     assert never_stuck(law)
-    assert law == revealed_rankings_law(m, n)[0]
+    assert law == revealed_rankings_law(m, n, labelled_signature)[0]
 
 
 @pytest.mark.parametrize("m, n", [(7, 3), (9, 4)])
