@@ -8,7 +8,9 @@ eliminated alternatives' threshold mass in proportion to their popularity
 
 Thresholds are ``fractions.Fraction`` values - never floats - and the update
 computes on their integer numerators and denominators, still exactly, so the
-redistribution conserves total threshold mass bit-exactly.
+redistribution conserves total threshold mass bit-exactly.  Survivors with
+equal (threshold, tally) get equal new thresholds, so the update builds one
+``Fraction`` per such class, not one per survivor.
 Alternatives keep one stable integer identity for the whole game; there is
 no per-stage renumbering.
 """
@@ -146,13 +148,17 @@ def tally(
     non-live alternative is an error: once eliminated, an alternative can
     never be voted for again.
     """
-    counts: Tally = {x: 0 for x in live}
-    for agent, (choice, weight) in enumerate(zip(profile, weights, strict=True), start=1):
-        if choice not in counts:
-            raise ValueError(
-                f"agent {agent} voted for non-live alternative {choice}"
-            )
-        counts[choice] += weight
+    counts: Tally = dict.fromkeys(live, 0)
+    try:
+        for choice, weight in zip(profile, weights, strict=True):
+            counts[choice] += weight
+    except KeyError:
+        agent, choice = next(
+            (i, x) for i, x in enumerate(profile, start=1) if x not in counts
+        )
+        raise ValueError(
+            f"agent {agent} voted for non-live alternative {choice}"
+        ) from None
     return counts
 
 
@@ -172,7 +178,7 @@ def eliminate(
     survivors = frozenset(
         x
         for x, r in counts.items()
-        if r * thresholds[x].denominator >= thresholds[x].numerator
+        if r * (f := thresholds[x]).denominator >= f.numerator
     )
     return survivors, frozenset(counts) - survivors
 
@@ -217,24 +223,30 @@ def update_thresholds(
         return dict(prev_thresholds)
     # survivor x has threshold p/q and popularity a/q, a = counts[x]*q - p;
     # popularities are summed by denominator as integers
-    terms = []
+    terms = {}
     pop_by_den: dict[int, int] = {}
     for x in survivors:
-        p, q = prev_thresholds[x].numerator, prev_thresholds[x].denominator
+        f = prev_thresholds[x]
+        p, q = f.numerator, f.denominator
         a = counts[x] * q - p
         if a < 0:
             raise ValueError(f"survivor {x} has negative popularity {Fraction(a, q)}")
         pop_by_den[q] = pop_by_den.get(q, 0) + a
-        terms.append((x, p, q, a))
+        terms[x] = p, q, a
     mass = _fsum(prev_thresholds[x] for x in eliminated)
     total_pop = sum(Fraction(a, q) for q, a in pop_by_den.items())
     if total_pop == 0:
         share = mass / len(survivors)
         return {x: prev_thresholds[x] + share for x in survivors}
     share = mass / total_pop  # exact, so one division serves every survivor
-    # p/q + (a/q)(sn/sd), built as one Fraction (one gcd) per survivor
+    # p/q + (a/q)(sn/sd), built as one Fraction (one gcd) per distinct
+    # (p, q, a): survivors of one (threshold, tally) class share it
     sn, sd = share.numerator, share.denominator
-    return {x: Fraction(p * sd + a * sn, q * sd) for x, p, q, a in terms}
+    new = {
+        (p, q, a): Fraction(p * sd + a * sn, q * sd)
+        for p, q, a in set(terms.values())
+    }
+    return {x: new[k] for x, k in terms.items()}
 
 
 def guarantees_elimination(

@@ -13,13 +13,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from . import core
 from .core import AlternativeId, GameConfig
 
-Chooser = Callable[[AbstractSet[AlternativeId]], AlternativeId]
+Vote = Callable[[frozenset[AlternativeId]], list[AlternativeId]]
 EliminationRule = Callable[
     [Mapping[AlternativeId, int], Mapping[AlternativeId, Fraction]],
     tuple[frozenset[AlternativeId], frozenset[AlternativeId]],
@@ -100,11 +99,12 @@ def run_stages(
     weights: Sequence[int],
     alternatives: Iterable[AlternativeId],
     initial_thresholds: Mapping[AlternativeId, Fraction],
-    choosers: list[Chooser],
+    vote: Vote,
     rule: ThresholdRule,
     eliminate: Optional[EliminationRule] = None,
 ) -> tuple[list[StageRecord], Outcome]:
-    """Drive a repeated game; choosers[i](live) yields agent i+1's vote.
+    """Drive a repeated game; vote(live) yields the stage's profile, agent
+    i+1's vote at index i.
 
     This is the single game loop behind both ``play`` (materialized
     preference orders) and the sweep harness (displaced-agent redraw).
@@ -127,7 +127,7 @@ def run_stages(
             raise StageLimitExceeded(
                 f"stage {k} exceeds the safety cap of {cap} stages"
             )
-        profile = [choose(live) for choose in choosers]
+        profile = vote(live)
         counts = core.tally(profile, weights, live)
         survivors, eliminated = eliminate(counts, thresholds)
         if updating and survivors:
@@ -159,12 +159,11 @@ def play(
     eliminate: Optional[EliminationRule] = None,
 ) -> GameTrace:
     """Play one full repeated game from a config and record its trace."""
-    choosers = [partial(core.sincere_choice, p) for p in config.preferences]
     stages, outcome = run_stages(
         config.weights,
         config.alternatives,
         config.initial_thresholds,
-        choosers,
+        lambda live: [core.sincere_choice(p, live) for p in config.preferences],
         rule,
         eliminate,
     )

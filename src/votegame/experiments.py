@@ -141,33 +141,29 @@ _UNVOTED = 0  # synthetic id for the round-1 block of unvoted alternatives
 def _sweep_game(m: int, n: int, stream) -> tuple[list[StageRecord], Outcome]:
     """Play one sweep game by displaced-agent redraw (see the module
     docstring); return its stages and outcome.  Only ``stream.below`` is
-    used: each agent's top choice in agent order, then one draw over the
-    sorted survivors per displaced agent.  The unvoted alternatives are
+    used: each agent's top choice in agent order, then, at each stage where
+    some votes are no longer live, one draw over the sorted survivors per
+    displaced agent, in agent order.  The unvoted alternatives are
     ``_UNVOTED``, which no one votes for, so round 1 eliminates it and
     redistributes exactly their threshold mass.
     """
     below = stream.below
-    tops = [below(m) + 1 for _ in range(n)]
+    votes = [below(m) + 1 for _ in range(n)]
     threshold = Fraction(2 * n, m)
-    initial = dict.fromkeys(tops, threshold)
+    initial = dict.fromkeys(votes, threshold)
     if len(initial) < m:
         initial[_UNVOTED] = (m - len(initial)) * threshold
-    stage = [None, None]  # run_stages' live set of this stage, and it sorted
 
-    def agent(choice: int):
-        def choose(live: frozenset[int]) -> int:
-            nonlocal choice
-            if choice not in live:
-                if stage[0] is not live:
-                    stage[:] = live, sorted(live)
-                ordered = stage[1]
-                choice = ordered[below(len(ordered))]
-            return choice
-        return choose
+    def vote(live: frozenset[int]) -> list[int]:
+        nonlocal votes
+        if not live.issuperset(votes):
+            ordered = sorted(live)
+            k = len(ordered)
+            # a new list: earlier stage records keep the profile they saw
+            votes = [x if x in live else ordered[below(k)] for x in votes]
+        return votes
 
-    return run_stages(
-        (1,) * n, initial, initial, [agent(x) for x in tops], ThresholdRule.UPDATING
-    )
+    return run_stages((1,) * n, initial, initial, vote, ThresholdRule.UPDATING)
 
 
 def _run_trials(
@@ -200,8 +196,9 @@ def _run_cell(m: int, n: int, trials: int, master_seed: int) -> CellResult:
     return CellResult(m, n, trials, *_run_trials(m, n, range(trials), master_seed))
 
 
-def _range_worker(args: tuple[int, int, range, int]) -> tuple[int, int, int, int]:
-    return _run_trials(*args)
+def _range_worker(task: tuple[list, int]) -> list[tuple[int, int, int, int]]:
+    ranges, master_seed = task
+    return [_run_trials(m, n, r, master_seed) for m, n, r in ranges]
 
 
 def run_cells(
@@ -213,12 +210,12 @@ def run_cells(
 ) -> ExperimentReport:
     """Evaluate an explicit cell list (the sweep's engine room).
 
-    `jobs` > 1 spreads the work over worker processes, one task per cell and
-    contiguous range of its trials: every cell is split into as many ranges
-    as there are workers, so the slowest cell is shared out rather than left
-    to run alone at the end.  Results are identical for any job count because
-    every trial's randomness comes from its own (master, m, n, trial)
-    coordinates and a cell's sums are integers.
+    `jobs` > 1 spreads the work over worker processes, one task per worker:
+    task k holds the k-th of as many contiguous ranges of every cell's
+    trials as there are workers, so the slowest cell is shared out rather
+    than left to run alone at the end.  Results are identical for any job
+    count because every trial's randomness comes from its own (master, m,
+    n, trial) coordinates and a cell's sums are integers.
     """
     from . import __version__
 
@@ -227,8 +224,7 @@ def run_cells(
     workers = min(jobs, len(cell_list)) if jobs > 1 and len(cell_list) > 1 else 1
     bounds = [trials * k // workers for k in range(workers + 1)]
     work = [
-        (m, n, range(bounds[k], bounds[k + 1]), master_seed)
-        for m, n in cell_list
+        ([(m, n, range(bounds[k], bounds[k + 1])) for m, n in cell_list], master_seed)
         for k in range(workers)
     ]
     if workers > 1:
@@ -236,10 +232,11 @@ def run_cells(
             sums = list(pool.map(_range_worker, work))
     else:
         sums = list(map(_range_worker, work))
-    results = {}
-    for i, (m, n) in enumerate(cell_list):
-        parts = sums[i * workers:(i + 1) * workers]
-        results[(m, n)] = CellResult(m, n, trials, *map(sum, zip(*parts)))
+    # zip(*sums) regroups the workers' sums by cell
+    results = {
+        (m, n): CellResult(m, n, trials, *map(sum, zip(*parts)))
+        for (m, n), parts in zip(cell_list, zip(*sums))
+    }
     return ExperimentReport(
         master_seed=master_seed,
         trials=trials,

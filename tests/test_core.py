@@ -64,6 +64,12 @@ def test_tally_rejects_vote_for_eliminated():
         tally([1, 3], (1, 1), {1, 2})
 
 
+@pytest.mark.parametrize("profile", [[1, 3], [1, 3, 3, 2]])
+def test_tally_names_a_non_live_vote_before_a_length_mismatch(profile):
+    with pytest.raises(ValueError, match="^agent 2 voted for non-live alternative 3$"):
+        tally(profile, (1, 1, 1), {1, 2})
+
+
 @pytest.mark.parametrize("profile", [[1, 2], [1, 2, 1, 2]])
 def test_tally_rejects_profile_and_weights_of_different_lengths(profile):
     with pytest.raises(ValueError):
@@ -201,6 +207,8 @@ def mixed_denominator_stages(draw):
 
 @given(mixed_denominator_stages())
 @example(({1: 1, 2: 2, 3: 0}, {1: F(1), 2: F(2), 3: F(7, 12)}))  # zero popularity
+# survivors 1 and 2 share q and a (popularity 1) but not p: distinct results
+@example(({1: 2, 2: 3, 3: 0}, {1: F(1), 2: F(2), 3: F(5)}))
 def test_update_equals_the_naive_rule(stage):
     counts, thresholds = stage
     survivors, gone = eliminate(counts, thresholds)

@@ -202,7 +202,11 @@ def revealed_rankings_law(m, n, sign=signature):
         thresholds = dict.fromkeys(range(1, m + 1), Fraction(2 * n, m))
         choosers = [agent(stream) for _ in range(n)]
         return run_stages(
-            (1,) * n, thresholds, thresholds, choosers, ThresholdRule.UPDATING
+            (1,) * n,
+            thresholds,
+            thresholds,
+            lambda live: [choose(live) for choose in choosers],
+            ThresholdRule.UPDATING,
         )
 
     return draw_tree_law(game, sign)
@@ -314,11 +318,14 @@ def test_each_cell_splits_into_ranges_that_partition_its_trials(
     run_cells(cells, trials=trials, master_seed=1, jobs=jobs)
     [(workers, work)] = tasks
     assert workers == min(jobs, len(cells))
-    assert len(work) == workers * len(cells)
-    for i, cell in enumerate(cells):
-        of_cell = work[i * workers:(i + 1) * workers]
-        assert {(m, n) for m, n, _, _ in of_cell} == {cell}
-        assert [t for _, _, r, _ in of_cell for t in r] == list(range(trials))
+    # one task per worker, holding that worker's range of every cell in order
+    assert len(work) == workers
+    assert all(seed == 1 for _, seed in work)
+    for ranges, _ in work:
+        assert [(m, n) for m, n, _ in ranges] == cells
+    for i in range(len(cells)):
+        of_cell = [ranges[i][2] for ranges, _ in work]
+        assert [t for r in of_cell for t in r] == list(range(trials))
 
 
 def test_report_rates_and_exact_means():
