@@ -8,15 +8,17 @@ eliminated alternatives' threshold mass in proportion to their popularity
 
 Thresholds are ``fractions.Fraction`` values - never floats - and the update
 computes on their integer numerators and denominators, still exactly, so the
-redistribution conserves total threshold mass bit-exactly.  Survivors with
-equal (threshold, tally) get equal new thresholds, so the update builds one
-``Fraction`` per such class, not one per survivor.
+redistribution conserves total threshold mass bit-exactly.  Threshold sums
+are integers over the lcm of the denominators, so the mass condition compares
+integers.  Survivors with equal (threshold, tally) get equal new thresholds,
+so the update builds one ``Fraction`` per such class, not one per survivor.
 Alternatives keep one stable integer identity for the whole game; there is
 no per-stage renumbering.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Sequence, Union
@@ -183,17 +185,20 @@ def eliminate(
     return survivors, frozenset(counts) - survivors
 
 
-def _fsum(values) -> Fraction:
-    # exact sum, grouping by denominator so homogeneous maps (the common
-    # case: every threshold equal) cost integer additions, not gcds
+def _fsum(values) -> tuple[int, int]:
+    # exact sum as integers (num, den), den the lcm of the denominators;
+    # numerators are first summed per denominator, so homogeneous maps (the
+    # common case: every threshold equal) cost integer additions
     by_den: dict[int, int] = {}
     for v in values:
         den = v.denominator
         by_den[den] = by_den.get(den, 0) + v.numerator
-    total = Fraction(0)
-    for den, num in by_den.items():
-        total += Fraction(num, den)
-    return total
+    return _over_lcm(by_den)
+
+
+def _over_lcm(by_den: Mapping[int, int]) -> tuple[int, int]:
+    lcm = math.lcm(*by_den)
+    return sum(num * (lcm // den) for den, num in by_den.items()), lcm
 
 
 def update_thresholds(
@@ -233,12 +238,12 @@ def update_thresholds(
             raise ValueError(f"survivor {x} has negative popularity {Fraction(a, q)}")
         pop_by_den[q] = pop_by_den.get(q, 0) + a
         terms[x] = p, q, a
-    mass = _fsum(prev_thresholds[x] for x in eliminated)
-    total_pop = sum(Fraction(a, q) for q, a in pop_by_den.items())
-    if total_pop == 0:
-        share = mass / len(survivors)
+    mn, md = _fsum(prev_thresholds[x] for x in eliminated)
+    pn, pd = _over_lcm(pop_by_den)  # total popularity pn/pd
+    if pn == 0:
+        share = Fraction(mn, md * len(survivors))
         return {x: prev_thresholds[x] + share for x in survivors}
-    share = mass / total_pop  # exact, so one division serves every survivor
+    share = Fraction(mn * pd, md * pn)  # mass / popularity, for every survivor
     # p/q + (a/q)(sn/sd), built as one Fraction (one gcd) per distinct
     # (p, q, a): survivors of one (threshold, tally) class share it
     sn, sd = share.numerator, share.denominator
@@ -259,9 +264,10 @@ def guarantees_elimination(
     to the total vote weight), so every stage eliminates at least one
     alternative and the game ends within (initial alternatives - 1) stages.
     """
-    return _fsum(thresholds.values()) > sum(weights)
+    num, den = _fsum(thresholds.values())
+    return num > sum(weights) * den
 
 
 def threshold_total(thresholds: Mapping[AlternativeId, Fraction]) -> Fraction:
     """Exact sum of a threshold map's values."""
-    return _fsum(thresholds.values())
+    return Fraction(*_fsum(thresholds.values()))

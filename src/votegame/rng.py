@@ -72,15 +72,14 @@ class Xoshiro256StarStar:
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         x = (s1 * 5) & _MASK64
-        result = (((x << 7) | (x >> 57)) & _MASK64) * 9 & _MASK64
-        t = (s1 << 17) & _MASK64
+        # rotl(x, 7) * 9, masked once: bits above 2^64 never reach the low 64
+        result = ((x << 7) | (x >> 57)) * 9 & _MASK64
         s2 ^= s0
         s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        self._s0 = s0 ^ s3
+        self._s1 = s1 ^ s2
+        self._s2 = s2 ^ ((s1 << 17) & _MASK64)
+        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         return result
 
     def below(self, bound: int) -> int:
@@ -89,11 +88,15 @@ class Xoshiro256StarStar:
             raise ValueError("bound must be in [1, 2^64]")
         if bound == 1:
             return 0
-        limit = _TWO64 - (_TWO64 % bound)
-        while True:
-            draw = self.next_u64()
-            if draw < limit:
-                return draw % bound
+        # A draw is kept iff it is under the limit 2^64 - 2^64 % bound.  A
+        # draw under 2^64 - bound is under it, since 2^64 % bound < bound;
+        # only a draw at or above that cut needs the exact limit.
+        draw = self.next_u64()
+        if draw >= _TWO64 - bound:
+            limit = _TWO64 - _TWO64 % bound
+            while draw >= limit:
+                draw = self.next_u64()
+        return draw % bound
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates; position i is final after step i."""

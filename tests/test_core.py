@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,11 @@ def mixed_denominator_stages(draw):
 
 @given(mixed_denominator_stages())
 @example(({1: 1, 2: 2, 3: 0}, {1: F(1), 2: F(2), 3: F(7, 12)}))  # zero popularity
+# zero popularity means integer survivor thresholds; the eliminated mass
+# 7/12 + 2/5 is split equally over its lcm denominator 60
+@example(({1: 1, 2: 2, 3: 0, 4: 0}, {1: F(1), 2: F(2), 3: F(7, 12), 4: F(2, 5)}))
+# popularities 1/2 and 2/3 (total 7/6), eliminated mass 3/4 + 1/6 = 11/12
+@example(({1: 3, 2: 2, 3: 0, 4: 0}, {1: F(5, 2), 2: F(4, 3), 3: F(3, 4), 4: F(1, 6)}))
 # survivors 1 and 2 share q and a (popularity 1) but not p: distinct results
 @example(({1: 2, 2: 3, 3: 0}, {1: F(1), 2: F(2), 3: F(5)}))
 def test_update_equals_the_naive_rule(stage):
@@ -270,6 +276,36 @@ def test_update_conserves_threshold_mass(stage):
     new = update_thresholds(thresholds, counts, survivors, gone)
     assert set(new) == set(survivors)
     assert threshold_total(new) == threshold_total(thresholds)
+
+
+threshold_maps = st.dictionaries(
+    st.integers(1, 30),
+    st.builds(F, st.integers(0, 60), st.integers(1, 12)),
+    max_size=10,
+)
+
+
+@given(threshold_maps)
+@example({})
+@example({1: F(1, 2), 2: F(1, 3)})
+@example({1: F(3, 4), 2: F(5, 6), 3: F(7, 10)})
+def test_threshold_total_is_the_exact_sum(thresholds):
+    assert threshold_total(thresholds) == sum(thresholds.values(), F(0))
+
+
+@given(threshold_maps, st.lists(st.integers(1, 3), max_size=40), st.booleans())
+@example({}, [], False)
+@example({}, [1], False)
+@example({1: F(1, 2), 2: F(2, 3)}, [1], False)  # 7/6 > 1 over the lcm 6
+@example({1: F(1, 3), 2: F(7, 4), 3: F(11, 12)}, [1, 2], False)  # 3 = 3
+@example({1: F(1, 2), 2: F(1, 3)}, [], True)
+def test_guarantee_compares_the_exact_masses(thresholds, weights, level):
+    total = sum(thresholds.values(), F(0))
+    if level:  # top the map up to an integer mass and weigh exactly that
+        thresholds = {**thresholds, 31: math.ceil(total) - total}
+        total = F(math.ceil(total))
+        weights = [1] * int(total)
+    assert guarantees_elimination(thresholds, weights) == (total > sum(weights))
 
 
 # --- elimination guarantee condition --------------------------------------

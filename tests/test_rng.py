@@ -144,6 +144,70 @@ def test_reveal_draws_exactly_what_below_draws():
                 assert rng.next_u64() == reference.next_u64()
 
 
+TWO64 = 1 << 64
+
+
+def below_by_limit(rng, bound):
+    """The rejection loop on the exact limit alone: what ``below`` must draw."""
+    if bound == 1:
+        return 0
+    limit = TWO64 - TWO64 % bound
+    while True:
+        draw = rng.next_u64()
+        if draw < limit:
+            return draw % bound
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 6, 1000, (1 << 63) + 1, TWO64 - 1])
+def test_below_takes_a_draw_under_the_cut_at_once(bound):
+    stream = ScriptedStream([TWO64 - bound - 1, 99])
+    assert Xoshiro256StarStar.below(stream, bound) == (TWO64 - bound - 1) % bound
+    assert stream.draws == [99]
+
+
+@pytest.mark.parametrize("bound", [3, 5])
+def test_below_keeps_a_draw_past_the_cut_under_the_limit(bound):
+    # 2^64 = 1 mod 3 and mod 5, so both limits are 2^64 - 1; 2^64 - 3 is at
+    # the cut 2^64 - 3 of bound 3 and above the cut 2^64 - 5 of bound 5
+    stream = ScriptedStream([TWO64 - 3, 99])
+    assert Xoshiro256StarStar.below(stream, bound) == (TWO64 - 3) % bound
+    assert stream.draws == [99]
+
+
+@pytest.mark.parametrize("bound", [3, 5])
+def test_below_rejects_a_draw_at_the_limit(bound):
+    stream = ScriptedStream([TWO64 - 1, TWO64 - 1, 17, 99])
+    assert Xoshiro256StarStar.below(stream, bound) == 17 % bound
+    assert stream.draws == [99]
+
+
+@pytest.mark.parametrize("bound", [2, 4, 1 << 32, 1 << 63, TWO64])
+def test_below_never_rejects_a_power_of_two_bound(bound):
+    stream = ScriptedStream([TWO64 - 1, 99])
+    assert Xoshiro256StarStar.below(stream, bound) == (TWO64 - 1) % bound
+    assert stream.draws == [99]
+
+
+@given(bound=st.integers(1, TWO64), data=st.data())
+def test_below_draws_what_the_exact_limit_loop_draws(bound, data):
+    # draws near the cut and the limit, then 0, which every bound accepts
+    limit = TWO64 - TWO64 % bound
+    edges = {0, TWO64 - bound - 1, TWO64 - bound, limit - 1, limit, TWO64 - 1}
+    near = st.sampled_from(sorted(d for d in edges if 0 <= d < TWO64))
+    draws = data.draw(st.lists(near | U64, max_size=6)) + [0, 99]
+    fast, slow = ScriptedStream(draws), ScriptedStream(draws)
+    assert Xoshiro256StarStar.below(fast, bound) == below_by_limit(slow, bound)
+    assert fast.draws == slow.draws
+
+
+def test_below_leaves_the_generator_where_the_exact_limit_loop_does():
+    for seed in range(20):
+        fast, slow = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+        for bound in (1, 2, 3, 7, 640, 2560, (1 << 63) + 1, TWO64):
+            assert fast.below(bound) == below_by_limit(slow, bound)
+        assert fast.next_u64() == slow.next_u64()
+
+
 @pytest.mark.parametrize("size", [3, 5, 12])
 def test_reveal_rejects_draws_as_below_does(size):
     # A real stream at these sizes rejects with probability below 1e-16, so
