@@ -28,7 +28,7 @@ from .engine import (
     play,
     run_stages,
 )
-from .prefs import Seed, generate
+from .prefs import generate
 
 __all__ = [
     "AllEliminated",
@@ -39,7 +39,6 @@ __all__ = [
     "LengthConvention",
     "NonTerminating",
     "Outcome",
-    "Seed",
     "StageLimitExceeded",
     "StageRecord",
     "ThresholdRule",

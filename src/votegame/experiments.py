@@ -171,8 +171,6 @@ def _run_trials(
 ) -> tuple[int, int, int, int]:
     """Play the given trials of cell (m, n); return their integer sums
     (winners, all eliminated, rounds, squared rounds)."""
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError("master seed must fit in 64 unsigned bits")
     winner = all_eliminated = rounds_total = rounds_sq_total = 0
     for t in trials:
         stream = Xoshiro256StarStar(mix64(_SWEEP_STREAM_TAG, master_seed, m, n, t))
@@ -190,10 +188,6 @@ def _run_trials(
         rounds_total += k
         rounds_sq_total += k * k
     return winner, all_eliminated, rounds_total, rounds_sq_total
-
-
-def _run_cell(m: int, n: int, trials: int, master_seed: int) -> CellResult:
-    return CellResult(m, n, trials, *_run_trials(m, n, range(trials), master_seed))
 
 
 def _range_worker(task: tuple[list, int]) -> list[tuple[int, int, int, int]]:

@@ -5,13 +5,14 @@ here, never through platform RNGs, so results are bit-identical across
 machines, Python versions, and runs.  The stream generator is xoshiro256**
 (Blackman & Vigna 2018); 64-bit seeds are expanded into generator state with
 SplitMix64, and stream seeds are derived by hashing integer coordinates with
-the SplitMix64 finalizer.  Bounded draws use rejection sampling, so shuffles
-are exactly uniform.
+the SplitMix64 finalizer; ``mix64`` is the one place a coordinate is checked
+to fit in 64 unsigned bits.  Every bounded draw is a call of ``below``, the
+one rejection sampler, so shuffles and lazy rankings are exactly uniform.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
@@ -31,19 +32,15 @@ def mix64(*parts: int) -> int:
     Used to derive independent substreams from coordinates such as
     (master seed, trial, agent): distinct tuples give unrelated seeds, and a
     stream depends only on its own coordinates, never on which other streams
-    were instantiated.
+    were instantiated.  A part outside [0, 2^64) raises ``ValueError``
+    rather than aliasing a valid one.
     """
     h = _GOLDEN
     for p in parts:
-        h = _finalize(((h ^ (p & _MASK64)) + _GOLDEN) & _MASK64)
+        if not 0 <= p <= _MASK64:
+            raise ValueError(f"stream coordinate {p} must fit in 64 unsigned bits")
+        h = _finalize(((h ^ p) + _GOLDEN) & _MASK64)
     return h
-
-
-def mix64_each(parts: Sequence[int], lasts: Iterable[int]) -> list[int]:
-    """``[mix64(*parts, last) for last in lasts]``, hashing the shared
-    prefix only once."""
-    h = mix64(*parts)
-    return [_finalize(((h ^ (p & _MASK64)) + _GOLDEN) & _MASK64) for p in lasts]
 
 
 def _splitmix64_fill(seed: int, count: int) -> list[int]:
@@ -51,10 +48,7 @@ def _splitmix64_fill(seed: int, count: int) -> list[int]:
     s = seed & _MASK64
     for _ in range(count):
         s = (s + _GOLDEN) & _MASK64
-        # _finalize(s), inlined: four calls per stream seeded
-        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append(z ^ (z >> 31))
+        out.append(_finalize(s))
     return out
 
 
@@ -128,30 +122,22 @@ class IncrementalRanking:
         self._final = 0  # positions below this index are settled
 
     def first_in(self, live: AbstractSet[int]) -> int:
-        """First alternative of the ranking that is in `live`."""
+        """First alternative of the ranking that is in `live`.
+
+        Settling position i calls ``below(size - i)``, as step i of
+        ``shuffle`` does, so the stream makes the same draws in the same order.
+        """
         size = self._size
         slots = self._slots
         get = slots.get
-        next_u64 = self._rng.next_u64
-        # Position i draws ``below(size - i)``, inlined.  A draw under
-        # 2^64 - size is under every rejection limit 2^64 - 2^64 % bound of
-        # this ranking, since 2^64 % bound < bound <= size; only a draw at or
-        # above it needs the exact limit.  The draws are the ones ``below``
-        # makes, in the same order.
-        fast = _TWO64 - size
+        below = self._rng.below
         final = self._final
         i = 0
         while i < size:
             if i < final:
                 value = get(i, i + 1)
             elif i < size - 1:
-                bound = size - i
-                draw = next_u64()
-                if draw >= fast:
-                    limit = _TWO64 - _TWO64 % bound
-                    while draw >= limit:
-                        draw = next_u64()
-                j = i + draw % bound
+                j = i + below(size - i)
                 value = get(j, j + 1)
                 slots[j] = get(i, i + 1)
                 slots[i] = value

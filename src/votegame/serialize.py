@@ -35,7 +35,7 @@ from .experiments import (
     DEFAULT_ALTERNATIVE_GRID,
     THRESHOLD_INIT_RULE,
 )
-from .prefs import Seed, generate
+from .prefs import generate
 
 TRACE_FORMAT = "votegame-trace-v2"
 SEED_ENV_VAR = "VOTEGAME_SEED"
@@ -207,13 +207,14 @@ def load_run_config(
         agents = _integer(
             uni.get("agents"), "preferences.uniform.agents", 1, _AGENT_LIMIT
         )
-        seed = Seed(
+        preferences = generate(
+            agents,
+            m,
             default_seed(seed_override, uni.get("master_seed")),
             _integer(
                 uni.get("trial", 0), "preferences.uniform.trial", 0, _SEED_LIMIT
             ),
         )
-        preferences = generate(agents, m, seed)
     else:
         raise InvalidConfig(
             "preferences: must be a list of rankings, {'uniform': ...}, or {'file': ...}"

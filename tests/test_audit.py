@@ -54,3 +54,10 @@ def test_off_by_one_rule_really_is_lenient():
 def test_audit_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_audit(trials=0)
+
+
+def test_audit_rejects_a_master_seed_outside_64_unsigned_bits():
+    # masking would play the games of seed 2^64 - 1 for -1, and of 0 for 2^64
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            run_audit(trials=1, master_seed=seed)

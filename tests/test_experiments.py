@@ -15,7 +15,6 @@ from votegame.experiments import (
     DEFAULT_ALTERNATIVE_GRID,
     REFERENCE_AVG_LENGTHS,
     _feasible_peaks,
-    _run_cell,
     _run_trials,
     _sweep_game,
     grid_csv,
@@ -83,15 +82,15 @@ def test_sweep_spec_rejects_unknown_fields():
 def test_master_seed_must_fit_in_64_bits():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="64 unsigned bits"):
-            _run_cell(10, 2, 1, seed)
+            run_cells([(10, 2)], 1, seed).cells[(10, 2)]
 
 
 def test_cell_results_are_deterministic():
-    a = _run_cell(10, 16, 40, 77)
-    b = _run_cell(10, 16, 40, 77)
+    a = run_cells([(10, 16)], 40, 77).cells[(10, 16)]
+    b = run_cells([(10, 16)], 40, 77).cells[(10, 16)]
     assert a == b
     # (10, 16) has real length variance, so a new master seed shows up
-    c = _run_cell(10, 16, 40, 78)
+    c = run_cells([(10, 16)], 40, 78).cells[(10, 16)]
     assert a != c
 
 

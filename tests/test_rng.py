@@ -7,7 +7,6 @@ from votegame.rng import (
     IncrementalRanking,
     Xoshiro256StarStar,
     mix64,
-    mix64_each,
     shuffled,
 )
 
@@ -57,9 +56,11 @@ def test_mix64_is_stable_and_separates_inputs():
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
-@given(parts=st.lists(U64, max_size=4), lasts=st.lists(U64, max_size=8))
-def test_mix64_each_hashes_like_mix64(parts, lasts):
-    assert mix64_each(parts, lasts) == [mix64(*parts, p) for p in lasts]
+def test_mix64_rejects_coordinates_outside_64_unsigned_bits():
+    # masking would alias -1 onto 2^64 - 1 and 2^64 onto 0
+    for part in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            mix64(1, part)
 
 
 def test_below_range_and_errors():
@@ -126,10 +127,13 @@ class ScriptedStream:
     def next_u64(self):
         return self.draws.pop(0)
 
+    below = Xoshiro256StarStar.below
+
 
 def test_reveal_draws_exactly_what_below_draws():
-    # the reveal inlines below(size - i); after any series of reveals the
-    # generator must be where the same below calls would have left it
+    # the reveal calls below(size - i) once per settled position; after any
+    # series of reveals the generator must be where the same below calls
+    # would have left it
     for seed in range(40):
         for size in (2, 3, 7, 12, 100):
             full = shuffled(range(1, size + 1), Xoshiro256StarStar(seed))
@@ -210,10 +214,12 @@ def test_below_leaves_the_generator_where_the_exact_limit_loop_does():
 
 @pytest.mark.parametrize("size", [3, 5, 12])
 def test_reveal_rejects_draws_as_below_does(size):
-    # A real stream at these sizes rejects with probability below 1e-16, so
-    # the draws are scripted.  2^64 - 1 is at or above the rejection limit of
-    # every bound that is not a power of two; 2^64 - 2 is above the fast
-    # path's cut 2^64 - size but below the exact limit of bounds 3 and 5.
+    # The reveal calls below, so it must reject exactly the words below
+    # rejects.  A real stream at these sizes rejects with probability below
+    # 1e-16, so the draws are scripted.  2^64 - 1 is at or above the
+    # rejection limit of every bound that is not a power of two; 2^64 - 2 is
+    # above below's cut 2^64 - bound but below the exact limit of bounds 3
+    # and 5.
     draws = [(1 << 64) - 1, (1 << 64) - 2] + [7 * k + 5 for k in range(size)]
     reference = ScriptedStream(draws)
     expected = list(range(1, size + 1))
